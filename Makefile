@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test analyze analyze-tests analyze-diff simsan-smoke tie-smoke own-smoke trace-smoke chaos-smoke copyengine-smoke sarif lint baseline all bench bench-full bench-smoke perf-baseline sharding-report ownership-report
+.PHONY: test analyze analyze-tests analyze-diff simsan-smoke tie-smoke trace-smoke chaos-smoke copyengine-smoke lint baseline all bench bench-full bench-smoke perf-baseline
 
 all: analyze test
 
@@ -39,7 +39,7 @@ analyze:
 # sanitizer and race-order fixtures are excluded because they violate
 # the rules on purpose.
 analyze-tests:
-	$(PYTHON) -m repro.analysis tests benchmarks --select MC2401,MC2402,MC2403,MC2404,MC2501,MC2502,MC2503,MC2901 --exclude tests/unit/simsan_plants.py --exclude tests/unit/raceorder_plants.py --exclude tests/unit/ownership_plants.py
+	$(PYTHON) -m repro.analysis tests benchmarks --select MC2401,MC2402,MC2403,MC2404,MC2501,MC2502,MC2503,MC2901 --exclude tests/unit/simsan_plants.py --exclude tests/unit/raceorder_plants.py
 
 # Exit non-zero only on findings not in analysis-baseline.json.
 analyze-diff:
@@ -54,25 +54,6 @@ simsan-smoke:
 # stat trees must match bit for bit (docs/ANALYSIS.md).
 tie-smoke:
 	REPRO_TIE_ORDER=paired REPRO_JOBS=2 REPRO_SIMCACHE=off $(PYTHON) -m pytest benchmarks/test_fig21_bpq_sweep.py -x -q -p no:cacheprovider
-
-# Shard-locality report over the whole tree: console summary plus the
-# sharding-report.json CI artifact (docs/ANALYSIS.md).
-sharding-report:
-	$(PYTHON) -m repro.analysis src/repro --sharding-report
-	$(PYTHON) -m repro.analysis src/repro --sharding-report --format json --output sharding-report.json
-
-# Partition proof: per-shard inventories + the rendezvous edge list;
-# exits non-zero unless 0 unknown classes and 0 problems
-# (docs/SHARDING.md).  Also checks the planted violations stay caught.
-ownership-report:
-	$(PYTHON) -m repro.analysis src/repro --ownership-report
-	$(PYTHON) -m repro.analysis src/repro --ownership-report --format json --output ownership-report.json
-	! $(PYTHON) -m repro.analysis tests/unit/ownership_plants.py --select MC2701,MC2702,MC2703,MC2704,MC2705
-
-# The ownership audit over the plant suite and a real system run
-# (docs/ANALYSIS.md: REPRO_SIMSAN=own).
-own-smoke:
-	REPRO_SIMSAN=own $(PYTHON) -m pytest tests/unit/test_ownership.py -x -q -p no:cacheprovider
 
 # Two-backend slice of the Fig. 23 crossover family (mclazy vs
 # rowclone at 4KB/64KB): verifies functional equivalence end to end
@@ -95,10 +76,6 @@ trace-smoke:
 chaos-smoke:
 	REPRO_JOBS=4 $(PYTHON) -m pytest tests/integration/test_chaos.py -x -q -p no:cacheprovider
 	$(PYTHON) -m repro.analysis src/repro/resilience
-
-sarif:
-	$(PYTHON) -m repro.analysis src/repro --format sarif --output mc2-analyze.sarif || true
-	@echo "wrote mc2-analyze.sarif"
 
 # Requires the lint extra: pip install -e .[lint]
 lint: analyze

@@ -8,8 +8,8 @@ Two halves share this package:
 * **static analysis** — the simulator-invariant analyzer behind
   ``python -m repro.analysis`` (:mod:`repro.analysis.engine`,
   :mod:`repro.analysis.rules`): determinism lint, event-safety rules,
-  and the interprocedural poison-taint pass, with text/JSON/SARIF
-  output and a CI baseline gate.
+  and the interprocedural passes, with text/JSON output and a CI
+  baseline gate.
 """
 
 from repro.analysis.figures import format_rows

@@ -12,7 +12,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.analysis import engine, sarif
+from repro.analysis import engine
 from repro.analysis import baseline as baseline_mod
 from repro.analysis.core import all_rules
 from repro.common.errors import ConfigError
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         "paths", nargs="*", help="files or directories "
         "(default: src/repro)")
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="report format (default: text)")
     parser.add_argument(
         "--output", metavar="FILE", default=None,
@@ -166,18 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit")
     parser.add_argument(
-        "--sharding-report", action="store_true",
-        help="classify engine/controller/CTT/BPQ instance state as "
-             "provably shard-local, cross-shard (with rendezvous "
-             "points), or unknown — the inventory the per-channel "
-             "engine split starts from")
-    parser.add_argument(
-        "--ownership-report", action="store_true",
-        help="prove the declared per-channel partition: per-shard "
-             "attribute inventories, the exact rendezvous edge list, "
-             "and the unknown/problem buckets the MC27xx gate drives "
-             "to zero (exit 1 when the partition is not proven)")
-    parser.add_argument(
         "--stats", action="store_true",
         help="append per-rule wall time and raw finding counts to the "
              "report (text: a table; json: a 'stats' key)")
@@ -194,36 +182,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     paths = args.paths or _default_paths()
-
-    if args.sharding_report:
-        from repro.analysis import sharding
-        try:
-            files = engine.collect_files(paths, exclude=args.exclude)
-            modules = engine.parse_modules(files)
-            report = sharding.classify(modules)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.format == "json":
-            _emit(sharding.report_json(report), args.output)
-        else:
-            _emit(sharding.report_text(report), args.output)
-        return 0
-
-    if args.ownership_report:
-        from repro.analysis import ownership
-        try:
-            files = engine.collect_files(paths, exclude=args.exclude)
-            modules = engine.parse_modules(files)
-            report = ownership.analyze(modules)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.format == "json":
-            _emit(ownership.report_json(report), args.output)
-        else:
-            _emit(ownership.report_text(report), args.output)
-        return 0 if report.ok else 1
 
     baseline_path = args.baseline
     if baseline_path is None and os.path.exists(DEFAULT_BASELINE):
@@ -247,9 +205,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"wrote {count} fingerprint(s) to {target}")
         return 0
 
-    if args.format == "sarif":
-        _emit(sarif.dumps(report.findings), args.output)
-    elif args.format == "json":
+    if args.format == "json":
         _emit(_json_report(report, stats=args.stats), args.output)
     else:
         text = _text_report(report, args.show_suppressed)

@@ -2,4 +2,4 @@
 
 from repro.analysis.rules import (cachesoundness, determinism,  # noqa: F401
                                   eventsafety, forksafety, hygiene,
-                                  ownership, raceorder, taint)
+                                  raceorder, taint)

@@ -8,8 +8,8 @@ every one must currently earn its keep.
 The check needs the full finding set *before* suppressions are applied,
 so it runs as an engine post-pass (:func:`repro.analysis.engine.run`)
 rather than through the normal rule hooks; the class below exists so
-the code appears in the catalogue, ``--select``, and SARIF rule
-metadata like any other rule.
+the code appears in the catalogue and ``--select`` like any other
+rule.
 
 Semantics (select-aware, so partial runs never cry wolf):
 

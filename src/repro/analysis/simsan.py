@@ -27,18 +27,13 @@ orders and diffs the results and full StatGroup trees — the runtime
 analogue of the same-cycle race rules (MC2601).  It works without
 ``REPRO_SIMSAN`` set; violations still honour ``REPRO_SIMSAN=warn``.
 
-A fifth hook, ``REPRO_SIMSAN=own`` (the ownership-audit section
-below), stamps every ``@shard_local`` instance with its owning shard at
-construction and audits attribute mutations against the declared
-``@rendezvous`` ports — the runtime analogue of the MC27xx
-shard-ownership rules (see :mod:`repro.analysis.ownership`).
-
-Modes: ``REPRO_SIMSAN=1`` (or ``on``/``strict``) raises
-:class:`~repro.common.errors.SanitizerError`; ``own`` does the same and
-additionally arms the ownership audit; ``REPRO_SIMSAN=warn`` prints to
-stderr and continues.  Anything else (including unset) disables every
-hook; the instrumented call sites check :func:`enabled` first, so the
-sanitizer costs nothing when off.
+Modes: ``REPRO_SIMSAN=1`` (or ``on``/``strict``/``true``) raises
+:class:`~repro.common.errors.SanitizerError`; ``REPRO_SIMSAN=warn``
+prints to stderr and continues; unset, empty, ``0``, ``off`` or
+``false`` disables every hook.  Any other value is a
+:class:`~repro.common.errors.ConfigError`, so a misspelt or retired
+mode never runs a sweep unsanitized.  The instrumented call sites check
+:func:`enabled` first, so the sanitizer costs nothing when off.
 
 The orchestration layer itself (``repro.perf``) and this package are
 excluded from the global snapshot for the same reason the static rules
@@ -68,6 +63,11 @@ _REPR_CAP = 512
 
 _DEFAULT_PERIOD = 8
 
+#: ``REPRO_SIMSAN`` spellings; anything outside these and ``warn`` is
+#: rejected by :func:`mode`.
+_STRICT = ("1", "on", "strict", "true")
+_OFF = ("", "0", "off", "false")
+
 #: Cache hits observed since process start (drives the audit period).
 _hit_count = 0
 
@@ -75,11 +75,15 @@ _hit_count = 0
 def mode() -> str:
     """``"strict"``, ``"warn"``, or ``"off"`` from ``REPRO_SIMSAN``."""
     raw = os.environ.get("REPRO_SIMSAN", "").strip().lower()
-    if raw in ("1", "on", "strict", "true", "own"):
+    if raw in _STRICT:
         return "strict"
     if raw == "warn":
         return "warn"
-    return "off"
+    if raw in _OFF:
+        return "off"
+    raise ConfigError(
+        f"unknown REPRO_SIMSAN value {raw!r}: expected 1/on/strict/true, "
+        f"warn, or 0/off/false")
 
 
 def enabled() -> bool:
@@ -541,232 +545,6 @@ def _compare_tie_runs(name: str, base: Dict[str, Any],
            + (f" [details: {artifact}]" if artifact else "")
            + " — equal-cycle dispatch order leaked into results "
              "(static family: MC26xx)")
-
-
-# --------------------------------------------------------------------------
-# Ownership audit (the MC27xx dynamic oracle)
-#
-# The MC27xx rules prove the per-channel partition statically, on the
-# shared call graph.  ``REPRO_SIMSAN=own`` checks the same contract on a
-# live simulation using the registries in :mod:`repro.sim.shard`:
-#
-# * every ``@shard_local`` class's ``__init__`` is wrapped to stamp the
-#   new instance with its owner ``(domain, ident)`` — from the declared
-#   key attribute (``channel_id``), or inherited from the component
-#   whose constructor is on the stack (the BPQ, banks, and the DRAM
-#   device model are built inside their owning controller's ``__init__``);
-# * a sampling ``__setattr__`` (``REPRO_SIMSAN_OWN_SAMPLE``, default
-#   every mutation) audits attribute writes: a write driven by a
-#   different shard's component is allowed only when a declared
-#   ``@rendezvous`` port is on the stack (MC2701's analogue), and a
-#   stored *value* stamped with a different same-domain owner is a
-#   retained cross-owner handle (MC2702's analogue);
-# * ``Simulator.schedule`` is patched to flag a rendezvous-port callback
-#   scheduled outside the shared-rendezvous phase (MC2703's analogue).
-#
-# Classes with closed ``__slots__`` (Bank, BpqEntry) cannot carry the
-# owner stamp; their writes attribute to the enclosing stamped component
-# on the stack, so cross-shard touches still surface.  Violations route
-# through :func:`report` — ``own`` is a strict mode; set
-# ``REPRO_SIMSAN=warn`` to demote (which also disables install, so
-# combine warn-mode audits with an explicit install call in tests).
-
-#: Frames walked when inheriting an owner at construction or
-#: attributing a mutation to an actor.
-_OWN_FRAME_CAP = 16
-
-_own_state: Dict[str, Any] = {
-    "installed": False,
-    "inits": [],      # (cls, original __init__) pairs to restore
-    "setattrs": [],   # classes that received the audit __setattr__
-    "schedule": None,  # original Simulator.schedule
-    "counter": 0,     # mutation sample counter
-}
-
-
-def ownership_enabled() -> bool:
-    """Whether ``REPRO_SIMSAN=own`` requested the ownership audit."""
-    return os.environ.get("REPRO_SIMSAN", "").strip().lower() == "own"
-
-
-def own_sample() -> int:
-    """Audit every Nth mutation (``REPRO_SIMSAN_OWN_SAMPLE``, min 1)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_SIMSAN_OWN_SAMPLE", "1")))
-    except ValueError:
-        return 1
-
-
-def _infer_owner(obj: Any, domain: str, key: str,
-                 frame: Any) -> Optional[Tuple[str, Any]]:
-    """The owner of a just-constructed ``@shard_local`` instance.
-
-    Priority: the instance's own key attribute; the singleton cpu shard
-    for cpu-domain classes; else the nearest constructing component on
-    the stack that is already stamped or carries the key attribute
-    (``MemoryController.__init__`` sets ``channel_id`` before building
-    its channel, so owned sub-objects inherit mid-construction).
-    """
-    from repro.sim import shard
-    ident = getattr(obj, key, None)
-    if ident is not None:
-        return (domain, ident)
-    if domain == shard.DOMAIN_CPU:
-        return (domain, 0)
-    depth = 0
-    while frame is not None and depth < _OWN_FRAME_CAP:
-        holder = frame.f_locals.get("self")
-        if holder is not None and holder is not obj:
-            owner = getattr(holder, shard.OWNER_SLOT, None)
-            if owner is not None:
-                return owner
-            ident = getattr(holder, key, None)
-            if ident is not None:
-                return (domain, ident)
-        frame = frame.f_back
-        depth += 1
-    return None
-
-
-def _audit_mutation(obj: Any, name: str, value: Any, frame: Any) -> None:
-    """Check one attribute write against the declared partition."""
-    from repro.sim import shard
-    owner = getattr(obj, shard.OWNER_SLOT, None)
-    if owner is None:
-        return  # mid-construction, or a slots class that cannot be stamped
-    value_owner = (getattr(value, shard.OWNER_SLOT, None)
-                   if value is not obj else None)
-    if (value_owner is not None and value_owner[0] == owner[0]
-            and value_owner != owner):
-        report("ownership",
-               f"{type(obj).__name__}.{name} (shard {owner}) now holds a "
-               f"{type(value).__name__} owned by shard {value_owner}; a "
-               f"retained cross-owner handle outlives the rendezvous that "
-               f"produced it (static rule: MC2702)")
-        return
-    depth = 0
-    while frame is not None and depth < _OWN_FRAME_CAP:
-        if frame.f_code in shard.RENDEZVOUS_CODES:
-            return  # the crossing runs inside a declared port
-        actor = frame.f_locals.get("self")
-        if actor is not None:
-            if actor is obj:
-                return  # self-mutation
-            actor_owner = getattr(actor, shard.OWNER_SLOT, None)
-            if actor_owner is None:
-                return  # host-side wiring (System) or a shared component
-            if actor_owner == owner:
-                return  # same shard (owner mutating its sub-object)
-            report("ownership",
-                   f"{type(actor).__name__} (shard {actor_owner}) mutated "
-                   f"{type(obj).__name__}.{name} (shard {owner}) outside "
-                   f"a declared rendezvous port (static rule: MC2701)")
-            return
-        frame = frame.f_back
-        depth += 1
-
-
-def _wrap_init(cls: type, domain: str, key: str) -> bool:
-    """Wrap ``cls``'s own ``__init__`` to stamp the owner; False if none."""
-    import functools
-    from repro.sim import shard
-    orig = cls.__dict__.get("__init__")
-    if orig is None:
-        return False  # inherits __init__; the base's wrapper stamps
-
-    @functools.wraps(orig)
-    def stamped_init(self, *args, **kwargs):
-        orig(self, *args, **kwargs)
-        if getattr(self, shard.OWNER_SLOT, None) is None:
-            owner = _infer_owner(self, domain, key, sys._getframe(1))
-            if owner is not None:
-                try:
-                    object.__setattr__(self, shard.OWNER_SLOT, owner)
-                except AttributeError:
-                    pass  # closed __slots__: stays unstamped
-    cls.__init__ = stamped_init
-    _own_state["inits"].append((cls, orig))
-    return True
-
-
-def _inject_setattr(cls: type) -> bool:
-    """Install the auditing ``__setattr__`` on ``cls``; False if it has one."""
-    from repro.sim import shard
-    if "__setattr__" in cls.__dict__:
-        return False
-
-    def audit_setattr(self, name, value):
-        if name != shard.OWNER_SLOT:
-            _own_state["counter"] += 1
-            if _own_state["counter"] % own_sample() == 0:
-                _audit_mutation(self, name, value, sys._getframe(1))
-        object.__setattr__(self, name, value)
-    cls.__setattr__ = audit_setattr
-    _own_state["setattrs"].append(cls)
-    return True
-
-
-def install_ownership_audit() -> None:
-    """Instrument every registered ``@shard_local`` class and the engine.
-
-    Idempotent.  Only classes registered at install time are covered —
-    import the modules under audit (the system package, test plants)
-    before calling.  :func:`uninstall_ownership_audit` restores
-    everything, so tests can install around a single simulation.
-    """
-    if _own_state["installed"]:
-        return
-    import functools
-    import repro.system.system  # noqa: F401  (registers the component classes)
-    from repro.analysis.ownership import RENDEZVOUS_PHASE
-    from repro.sim import engine as sim_engine
-    from repro.sim import shard
-
-    for cls in list(shard.LOCAL_CLASSES):
-        role = cls.__dict__.get(shard.ROLE_ATTR)
-        if role is None or role[0] != "local":
-            continue  # registry holds only locals, but stay defensive
-        _, domain, key = role
-        _wrap_init(cls, domain, key)
-        _inject_setattr(cls)
-
-    orig_schedule = sim_engine.Simulator.schedule
-
-    @functools.wraps(orig_schedule)
-    def audited_schedule(self, delay, callback, label="", phase=0):
-        fn = getattr(callback, "__func__", callback)
-        code = getattr(fn, "__code__", None)
-        if code in shard.RENDEZVOUS_CODES and phase != RENDEZVOUS_PHASE:
-            report("ownership",
-                   f"rendezvous port '{shard.RENDEZVOUS_CODES[code]}' "
-                   f"scheduled at phase {phase}, not the shared-rendezvous "
-                   f"phase {RENDEZVOUS_PHASE}; its outcome would depend on "
-                   f"the same-cycle tie-break (static rule: MC2703)")
-        return orig_schedule(self, delay, callback, label=label, phase=phase)
-    sim_engine.Simulator.schedule = audited_schedule
-    _own_state["schedule"] = orig_schedule
-    _own_state["installed"] = True
-
-
-def uninstall_ownership_audit() -> None:
-    """Undo :func:`install_ownership_audit` exactly."""
-    if not _own_state["installed"]:
-        return
-    for cls, orig in _own_state["inits"]:
-        cls.__init__ = orig
-    for cls in _own_state["setattrs"]:
-        del cls.__setattr__
-    sim_engine = sys.modules.get("repro.sim.engine")
-    if sim_engine is not None and _own_state["schedule"] is not None:
-        sim_engine.Simulator.schedule = _own_state["schedule"]
-    _own_state.update(installed=False, inits=[], setattrs=[],
-                      schedule=None, counter=0)
-
-
-def maybe_install_ownership() -> None:
-    """Install the ownership audit when ``REPRO_SIMSAN=own`` asks for it."""
-    if ownership_enabled():
-        install_ownership_audit()
 
 
 def paired_tie_call(fn: Callable[..., Any], args: Tuple,

@@ -13,7 +13,6 @@ from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigError
 from repro.common.units import CACHELINE_SIZE
-from repro.sim.shard import shard_local
 from repro.sim.stats import StatGroup
 
 # Line-address arithmetic is inlined in the lookup paths below (they run
@@ -25,7 +24,6 @@ _LINE_MASK = ~(CACHELINE_SIZE - 1)
 assert CACHELINE_SIZE == 1 << _LINE_SHIFT, "cacheline size must be 2^n"
 
 
-@shard_local(domain="cpu")
 class CacheLine:
     """One resident cacheline: tag state plus its 64 data bytes."""
 
@@ -38,7 +36,6 @@ class CacheLine:
         self.last_used = now
 
 
-@shard_local(domain="cpu")
 class Cache:
     """A set-associative cache with a pluggable replacement policy."""
 

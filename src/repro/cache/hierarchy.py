@@ -27,11 +27,9 @@ from repro.cache.cache import _LINE_SHIFT, Cache
 from repro.cache.prefetcher import StridePrefetcher
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketType
-from repro.sim.shard import shard_local
 from repro.sim.stats import StatGroup
 
 
-@shard_local(domain="cpu")
 class CacheHierarchy:
     """Per-core L1s over a shared L2, fronting the memory interconnect."""
 

@@ -15,11 +15,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common import params
 from repro.common.units import CACHELINE_SIZE, align_down
-from repro.sim.shard import shard_local
 from repro.sim.stats import StatGroup
 
 
-@shard_local(domain="cpu")
 class _StreamEntry:
     __slots__ = ("last_addr", "stride", "confidence")
 
@@ -29,7 +27,6 @@ class _StreamEntry:
         self.confidence = 0
 
 
-@shard_local(domain="cpu")
 class StridePrefetcher:
     """Reference prediction table keyed by requestor id."""
 

@@ -13,10 +13,8 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.common.errors import ConfigError
-from repro.sim.shard import shard_local
 
 
-@shard_local(domain="cpu")
 class ReplacementPolicy:
     """Interface: track per-line state, choose a victim address."""
 

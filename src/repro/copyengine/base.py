@@ -29,9 +29,8 @@ Every backend owns a ``StatGroup`` subtree under
 the opt-in ``copyengine`` trace category (off by default, so traced
 golden runs stay byte-identical).
 
-Backends run on the core that executes their generated ops, hence the
-``cpu`` shard declaration; everything they touch cross-shard goes
-through the ops they emit, never by direct mutation.
+Backends act only through the ops they emit, which run on the core
+that executes them; they never mutate memory-side state directly.
 """
 
 from __future__ import annotations
@@ -39,12 +38,10 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.isa.ops import Op
-from repro.sim.shard import shard_local
 from repro.sw.engine import CopyEngine
 from repro.sw.memcpy import memcpy_ops
 
 
-@shard_local(domain="cpu")
 class CopyBackend(CopyEngine):
     """Base class for registered copy backends."""
 

@@ -29,11 +29,9 @@ from repro.copyengine.base import CopyBackend
 from repro.copyengine.registry import register_backend
 from repro.isa import ops
 from repro.isa.ops import Op
-from repro.sim.shard import shard_local
 from repro.sw.memcpy import memcpy_ops
 
 
-@shard_local(domain="cpu")
 class InMemCopyBackend(CopyBackend):
     """Common machinery for the rowclone / mirror backends."""
 
@@ -93,7 +91,6 @@ class InMemCopyBackend(CopyBackend):
 
 
 @register_backend
-@shard_local(domain="cpu")
 class RowCloneBackend(InMemCopyBackend):
     """RowClone: FPM same-subarray row copies, PSM serial otherwise."""
 
@@ -102,7 +99,6 @@ class RowCloneBackend(InMemCopyBackend):
 
 
 @register_backend
-@shard_local(domain="cpu")
 class MirrorBackend(InMemCopyBackend):
     """In-Memory Mirroring: row cloning without the read phase."""
 

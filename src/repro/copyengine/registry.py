@@ -2,8 +2,7 @@
 
 Registration happens at import time only (decorators run when
 ``repro.copyengine`` is first imported, never on a sim path), so forked
-sweep workers and cached sim points all see the same finished registry —
-the same discipline :mod:`repro.sim.shard` uses for its port table.
+sweep workers and cached sim points all see the same finished registry.
 """
 
 from __future__ import annotations

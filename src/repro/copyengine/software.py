@@ -15,14 +15,12 @@ from repro.common.units import PAGE_SIZE, align_down
 from repro.copyengine.base import CopyBackend
 from repro.copyengine.registry import register_backend
 from repro.isa.ops import Op
-from repro.sim.shard import shard_local
 from repro.sw.engine import LazyEngine
 from repro.sw.memcpy import memcpy_ops
 from repro.zio.engine import ZioEngine
 
 
 @register_backend
-@shard_local(domain="cpu")
 class EagerBackend(CopyBackend):
     """The native software ``memcpy`` loop (the paper's baseline)."""
 
@@ -34,7 +32,6 @@ class EagerBackend(CopyBackend):
 
 
 @register_backend
-@shard_local(domain="cpu")
 class McLazyBackend(CopyBackend):
     """(MC)² lazy MemCopy: delegates to the existing CTT/BPQ machinery.
 
@@ -79,7 +76,6 @@ class McLazyBackend(CopyBackend):
 
 
 @register_backend
-@shard_local(domain="cpu")
 class ZioBackend(CopyBackend):
     """zIO page-granularity copy elision with copy-on-access faults."""
 

@@ -30,7 +30,6 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.common.errors import SimulationError
 from repro.isa.ops import Op, OpKind
 from repro.sim.engine import Simulator
-from repro.sim.shard import shard_local
 from repro.sim.stats import StatGroup
 
 Program = Generator[Op, Optional[bytes], None]
@@ -50,7 +49,6 @@ _ISSUE_COST = {
 }
 
 
-@shard_local(domain="cpu")
 class Core:
     """One simulated CPU core executing one program at a time."""
 

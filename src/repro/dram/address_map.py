@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
 from repro.common.units import CACHELINE_SIZE
-from repro.sim.shard import shared
 
 
-@shared
 @dataclass(frozen=True)
 class DramLocation:
     """Decoded location of one cacheline inside the DRAM system."""
@@ -26,7 +24,6 @@ class DramLocation:
     column: int
 
 
-@shared
 class AddressMap:
     """Cacheline-interleaved channel map with row-major bank layout."""
 

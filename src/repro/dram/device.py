@@ -13,11 +13,9 @@ from typing import Dict, Optional
 
 from repro.common import params
 from repro.dram.address_map import DramLocation
-from repro.sim.shard import rendezvous, shard_local
 from repro.sim.stats import StatGroup
 
 
-@shard_local
 class Bank:
     """One DRAM bank: tracks the open row and when it is next usable."""
 
@@ -28,7 +26,6 @@ class Bank:
         self.ready_at: int = 0
 
 
-@shard_local
 class DramChannel:
     """Timing model of one DRAM channel (one per memory controller)."""
 
@@ -58,7 +55,6 @@ class DramChannel:
         self._trace = None
         self._track = "dram"
 
-    @rendezvous("dram-access")
     def access(self, loc: DramLocation, now: int) -> int:
         """Perform one cacheline access; returns the completion cycle.
 
@@ -106,7 +102,6 @@ class DramChannel:
                                   "kind": kind})
         return done
 
-    @rendezvous("dram-rowclone")
     def row_copy(self, src_loc: DramLocation, dst_loc: DramLocation,
                  now: int, mode: str, lines: int) -> int:
         """Copy ``lines`` cachelines from ``src_loc`` to ``dst_loc`` in DRAM.

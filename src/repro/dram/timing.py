@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.units import ns_to_cycles
-from repro.sim.shard import shared
 
 
-@shared
 @dataclass(frozen=True)
 class DdrTiming:
     """One speed grade's primary timings, in nanoseconds.

@@ -14,10 +14,10 @@ writebacks ranked ahead of the control packets they must precede and
 reads last.  Callback dispatch order among equal-timestamp events is
 explicitly *not* part of the simulator's semantics (it is permuted by
 the ``REPRO_TIE_ORDER`` sanitizer, :mod:`repro.analysis.simsan`), and
-the interconnect is the rendezvous where independently-scheduled
-components meet — exactly the seam the sharded-engine rewrite needs to
-keep deterministic.  The arbiter runs in the engine's late dispatch
-phase so it observes every same-cycle send under any tie-break.
+the interconnect is where independently-scheduled components meet, so
+it must not let that order leak.  The arbiter runs in the engine's late
+dispatch phase so it observes every same-cycle send under any
+tie-break.
 
 Control packets (MCLAZY / MCFREE) are *broadcast*: every controller must
 update its CTT replica.  The shared CTT object makes the replicas
@@ -33,7 +33,6 @@ from repro.common import params
 from repro.memctrl.controller import MemoryController
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketType
-from repro.sim.shard import shared
 from repro.sim.stats import StatGroup
 
 #: Event labels by packet type, prebuilt: send() runs once per packet and
@@ -56,7 +55,6 @@ _TYPE_RANK = {
 }
 
 
-@shared
 class Interconnect:
     """Routes packets from the cache side to memory controllers."""
 

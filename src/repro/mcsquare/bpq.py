@@ -20,11 +20,9 @@ from repro.common import params
 from repro.common.errors import SimulationError
 from repro.common.units import CACHELINE_SIZE, align_down
 from repro.sim.packet import Packet
-from repro.sim.shard import rendezvous, shard_local
 from repro.sim.stats import StatGroup
 
 
-@shard_local
 class BpqEntry:
     """One parked source-line write awaiting lazy-copy resolution."""
 
@@ -52,7 +50,6 @@ class BpqEntry:
         self.poisoned = packet.poisoned
 
 
-@shard_local
 class BouncePendingQueue:
     """Fixed-capacity queue of parked source writes for one MC."""
 
@@ -100,12 +97,10 @@ class BouncePendingQueue:
         """True when no further source write can be parked."""
         return len(self._entries) >= self.capacity
 
-    @rendezvous("bpq-probe")
     def holds(self, addr: int) -> bool:
         """True when the line containing ``addr`` is parked."""
         return align_down(addr, CACHELINE_SIZE) in self._entries
 
-    @rendezvous("bpq-probe")
     def get(self, addr: int) -> Optional[BpqEntry]:
         """The parked entry for the line containing ``addr``, if any."""
         return self._entries.get(align_down(addr, CACHELINE_SIZE))
@@ -166,7 +161,6 @@ class BouncePendingQueue:
         self._end_span(entry, "drained")
         return entry
 
-    @rendezvous("bpq-supersede")
     def supersede(self, line: int) -> BpqEntry:
         """Remove a parked entry wholly overwritten by a newer copy.
 

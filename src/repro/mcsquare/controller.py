@@ -38,11 +38,9 @@ from repro.mcsquare.bpq import BouncePendingQueue
 from repro.mcsquare.ctt import CopyTrackingTable, CttEntry
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketType
-from repro.sim.shard import shard_local
 from repro.sim.stats import StatGroup
 
 
-@shard_local
 class McSquareController(MemoryController):
     """One memory-controller channel with (MC)² extensions."""
 

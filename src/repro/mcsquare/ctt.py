@@ -35,11 +35,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.common import params
 from repro.common.errors import AlignmentError, ConfigError, SimulationError
 from repro.common.units import CACHELINE_SIZE, PAGE_SIZE, align_down
-from repro.sim.shard import shared
 from repro.sim.stats import StatGroup
 
 
-@shared
 class InsertResult:
     """Outcome of a CTT insert.
 
@@ -60,7 +58,6 @@ class InsertResult:
         return f"InsertResult(ok={self.ok}, eager={len(self.eager_lines)})"
 
 
-@shared
 class CttEntry:
     """One prospective copy: ``size`` bytes from ``src`` to ``dst``.
 
@@ -104,7 +101,6 @@ class CttEntry:
                 f"size={self.size})")
 
 
-@shared
 class CopyTrackingTable:
     """The replicated CTT content plus its management logic."""
 

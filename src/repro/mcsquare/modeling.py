@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from repro.common import params
 from repro.common.errors import ConfigError
-from repro.sim.shard import shared
 
 #: Published CACTI anchor point for the paper's configuration.
 ANCHOR_BYTES = params.CTT_ENTRIES * params.CTT_ENTRY_BYTES  # 32 KiB
@@ -30,7 +29,6 @@ ANCHOR_LATENCY_NS = params.CTT_LATENCY_NS                   # 0.79
 ANCHOR_LEAKAGE_MW = params.CTT_LEAKAGE_MW                   # 33.8
 
 
-@shared
 @dataclass(frozen=True)
 class SramEstimate:
     """Estimated cost of one SRAM structure."""

@@ -30,14 +30,12 @@ from typing import List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.units import CACHELINE_SIZE
-from repro.sim.shard import shared
 
 
 class ConsistencyError(SimulationError):
     """An (MC)² structural invariant was violated."""
 
 
-@shared
 class ConsistencyChecker:
     """Invariant checks over a live :class:`~repro.system.system.System`."""
 

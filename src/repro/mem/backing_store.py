@@ -12,10 +12,8 @@ from typing import Dict, Set
 
 from repro.common.errors import AddressError
 from repro.common.units import CACHELINE_SIZE, align_down
-from repro.sim.shard import shared
 
 
-@shared
 class BackingStore:
     """Sparse byte-accurate physical memory of a fixed capacity.
 

@@ -25,11 +25,9 @@ from repro.dram.device import DramChannel
 from repro.mem.backing_store import BackingStore
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketType
-from repro.sim.shard import rendezvous, shard_local
 from repro.sim.stats import StatGroup
 
 
-@shard_local
 class MemoryController:
     """One memory controller driving one DRAM channel."""
 
@@ -106,7 +104,6 @@ class MemoryController:
         return len(self._wpq)
 
     @property
-    @rendezvous("wpq-probe")
     def wpq_fullness(self) -> float:
         """WPQ occupancy as a fraction of capacity."""
         return len(self._wpq) / self.wpq_entries
@@ -235,7 +232,6 @@ class MemoryController:
     DRAM_RANK_BOUNCE_WB = 3
     DRAM_RANK_DRAIN = 4
 
-    @rendezvous("dram-request")
     def dram_request(self, loc, key, on_grant, extra: int = 0) -> None:
         """Reserve one channel access through this cycle's arbiter.
 
@@ -253,7 +249,6 @@ class MemoryController:
             self.sim.schedule(0, self._grant_dram, label="dram-grant",
                               phase=2)
 
-    @rendezvous("dram-grant")
     def _grant_dram(self) -> None:
         self._dram_grant_armed = False
         pending, self._dram_pending = self._dram_pending, []

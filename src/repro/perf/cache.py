@@ -42,7 +42,12 @@ class Unkeyable(Exception):
 
 
 def _sanitizer():
-    """The simsan module when ``REPRO_SIMSAN`` is active, else None."""
+    """The simsan module when ``REPRO_SIMSAN`` is active, else None.
+
+    The off spellings mirror ``simsan._OFF`` so the analysis package is
+    imported only when sanitizing (or rejecting an unknown value); the
+    env check is repeated per call because tests toggle it.
+    """
     if os.environ.get("REPRO_SIMSAN", "").strip().lower() in (
             "", "0", "off", "false"):
         return None

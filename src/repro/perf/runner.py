@@ -55,15 +55,19 @@ sweeps do.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import multiprocessing
 import os
 import sys
+import threading
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigError, ReproError, SweepError
-from repro.perf.cache import MISS, SimCache, Unkeyable, cache_enabled, point_key
+from repro.perf.cache import (MISS, SimCache, Unkeyable, _sanitizer,
+                              cache_enabled, point_key)
 from repro.perf.hostclock import host_seconds
 from repro.resilience.deadline import (backoff_from_env, max_attempts,
                                        point_timeout, scale_from_env)
@@ -76,6 +80,9 @@ _WORKER_ENV = "REPRO_PERF_WORKER"
 
 #: Valid graceful-degradation policies (see module docstring).
 _POLICIES = ("strict", "partial")
+
+#: Seconds between a worker's checks that the sweeping process lives.
+_ORPHAN_POLL_S = 0.2
 
 
 @dataclass(frozen=True)
@@ -126,19 +133,6 @@ def _tie_orders() -> List[str]:
     return simsan.tie_order_spec()
 
 
-def _sanitizer():
-    """The simsan module when ``REPRO_SIMSAN`` is active, else None.
-
-    Imported lazily so the analysis package costs nothing on normal
-    runs; the env check is repeated per call because tests toggle it.
-    """
-    if os.environ.get("REPRO_SIMSAN", "").strip().lower() in (
-            "", "0", "off", "false"):
-        return None
-    from repro.analysis import simsan
-    return simsan if simsan.enabled() else None
-
-
 def _run_point(point: SimPoint) -> Any:
     fn = point.fn
     if _tracing_requested():
@@ -153,9 +147,6 @@ def _run_point(point: SimPoint) -> Any:
             fn = obs_runtime.traced(fn, point.name)
     san = _sanitizer()
     if san is not None:
-        # REPRO_SIMSAN=own additionally arms the shard-ownership audit
-        # (idempotent; a per-worker no-op once installed).
-        san.maybe_install_ownership()
         call = (lambda *args, **kwargs:
                 san.checked_call(fn, args, kwargs, point.name))
     else:
@@ -175,11 +166,28 @@ def _run_point(point: SimPoint) -> Any:
     return call(*point.args, **point.kwargs)
 
 
-def _init_worker() -> None:
+def _exit_when_orphaned(parent_pid: int) -> None:
+    """Worker watchdog: exit as soon as the sweeping process is gone.
+
+    A SIGKILLed parent never delivers EOF on the call-queue pipe,
+    because forked sibling workers inherit its write end (and the
+    parent sentinel's), so an idle worker would block forever,
+    re-parented to init and still holding the sweep journal's
+    descriptor.  Re-parenting is the one signal that cannot be masked
+    that way.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(_ORPHAN_POLL_S)
+    os._exit(1)
+
+
+def _init_worker(parent_pid: int) -> None:
     # Keep nested sim_map calls (a sweep point that itself sweeps)
     # serial inside workers, and mark the process for jobs_from_env().
     os.environ[_WORKER_ENV] = "1"
     os.environ["REPRO_JOBS"] = "1"
+    threading.Thread(target=_exit_when_orphaned, args=(parent_pid,),
+                     name="repro-orphan-watch", daemon=True).start()
 
 
 def _fork_available() -> bool:
@@ -278,6 +286,9 @@ def sim_map(points: Iterable[SimPoint],
     # under the canonical key).
     use_cache = cache and not _tracing_requested() and not _tie_orders() \
         and (store is not None or cache_enabled())
+    # Resolved once, before any point runs, so an unknown REPRO_SIMSAN
+    # value fails the sweep up front rather than inside a worker.
+    san = _sanitizer()
     if use_cache and store is None:
         store = SimCache()
 
@@ -297,7 +308,6 @@ def sim_map(points: Iterable[SimPoint],
             if value is MISS:
                 misses.append(i)
             else:
-                san = _sanitizer()
                 if san is not None and san.should_audit_hit():
                     # Recompute serially in the parent and compare: a
                     # divergence means the key omits an input that
@@ -406,7 +416,7 @@ def _run_parallel(points, misses, keys, jobs, policy, scale, on_done,
         wall_timeout=point_timeout(scale),
         max_attempts=max_attempts(),
         backoff=backoff_from_env(),
-        initializer=_init_worker,
+        initializer=functools.partial(_init_worker, os.getpid()),
     )
     return run_supervised(_run_point, tasks, config, on_done,
                           on_attempt=on_attempt)

@@ -101,7 +101,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.common import params
 from repro.common.errors import LivelockError, SimulationError
-from repro.sim.shard import shared
 
 Callback = Callable[[], None]
 
@@ -200,7 +199,6 @@ def default_trace_hook() -> Optional[Callable[[str, int], None]]:
     return _DEFAULT_TRACE_HOOK
 
 
-@shared
 class Event:
     """A scheduled callback.  Cancellable; compare by (when, phase, seq)."""
 
@@ -246,7 +244,6 @@ class Event:
         return f"Event(when={self.when}, label={self.label!r}, {state})"
 
 
-@shared
 class Simulator:
     """Calendar-queue event loop with a cycle-granularity clock."""
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 import enum
 from typing import Callable, Optional
 
-from repro.sim.shard import shared
-
 
 class PacketType(enum.Enum):
     """Kinds of traffic the memory system understands."""
@@ -27,7 +25,6 @@ class PacketType(enum.Enum):
     INMEM_COPY = "inmem_copy"    # in-DRAM row copy (RowClone / mirroring)
 
 
-@shared
 class Packet:
     """One memory-system transaction.
 

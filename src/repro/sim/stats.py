@@ -12,7 +12,6 @@ import random
 import zlib
 from typing import Callable, Dict, List, Optional
 
-from repro.sim.shard import shared
 
 #: Reservoir cap for :class:`Distribution` retained samples.  Quantile
 #: estimates over more observations than this use seeded reservoir
@@ -40,7 +39,6 @@ def construction_hook() -> Optional[Callable[["StatGroup"], None]]:
     return _construction_hook
 
 
-@shared
 class Counter:
     """A monotonically accumulating scalar statistic."""
 
@@ -63,7 +61,6 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
-@shared
 class Distribution:
     """A streaming distribution: count/sum/min/max plus retained samples.
 
@@ -137,7 +134,6 @@ class Distribution:
         return f"Distribution({self.name}: n={self.count}, mean={self.mean:.1f})"
 
 
-@shared
 class Formula:
     """A derived statistic computed on read from other stats.
 
@@ -162,7 +158,6 @@ class Formula:
         return f"Formula({self.name}={self.value})"
 
 
-@shared
 class StatGroup:
     """A named collection of statistics, nestable into a tree."""
 

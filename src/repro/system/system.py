@@ -33,12 +33,10 @@ from repro.faults.watchdog import Watchdog
 from repro.interconnect.bus import Interconnect
 from repro.obs.runtime import attach_if_configured
 from repro.sim.engine import Simulator
-from repro.sim.shard import shared
 from repro.sim.stats import StatGroup
 from repro.system.config import SystemConfig
 
 
-@shared
 class System:
     """A complete simulated machine built from a :class:`SystemConfig`."""
 

@@ -32,6 +32,21 @@ def _entries(store):
     return {path.name: path.read_bytes() for path in store._entry_files()}
 
 
+def _pids_mentioning(needle):
+    """Live processes whose command line contains ``needle`` (via /proc)."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:
+            continue  # exited while we looked
+        if needle.encode() in cmdline:
+            found.append(int(entry.name))
+    return found
+
+
 @pytest.fixture(autouse=True)
 def _chaos_env(monkeypatch):
     # Fast deterministic backoff so injected failures retry in
@@ -180,6 +195,17 @@ class TestParentDeath:
             if child.poll() is None:
                 child.kill()
             child.wait()
+
+        # The killed sweep's forked workers inherited its command line;
+        # each must notice it was orphaned and exit instead of blocking
+        # forever on the dead parent's call queue.
+        if Path("/proc/self/cmdline").exists():
+            deadline = time.monotonic() + 5
+            while (_pids_mentioning(str(store_dir))
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert _pids_mentioning(str(store_dir)) == [], \
+                "sweep workers outlived their SIGKILLed parent"
 
         # The journal survived the SIGKILL and shows an unfinished run
         # with the checkpoints that made it to disk.

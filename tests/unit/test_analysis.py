@@ -2,7 +2,7 @@
 
 Each rule gets a positive fixture (must flag) and a negative fixture
 (must stay silent); on top of that the suppression comments, the
-baseline round-trip, the SARIF emitter, and the CLI exit codes are
+baseline round-trip, the ``--stats`` report, and the CLI exit codes are
 exercised end to end on temporary source trees.
 """
 
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import baseline as baseline_mod
-from repro.analysis import engine, noqa, sarif
+from repro.analysis import engine, noqa
 from repro.analysis.core import all_rules, get_rule
 from repro.analysis.cli import main as cli_main
 from repro.common.errors import ConfigError
@@ -306,30 +306,80 @@ def test_fingerprints_ignore_path_absoluteness(tmp_path):
     assert digest_abs == digest_rel
 
 
-# ------------------------------------------------------------------- SARIF
-def test_sarif_log_shape(tmp_path):
-    report = analyze_source(tmp_path, POSITIVE["MC2001"], select=["MC2001"])
-    log = json.loads(sarif.dumps(report.findings))
-    assert log["version"] == "2.1.0"
-    assert "sarif-schema-2.1.0" in log["$schema"]
-    (run,) = log["runs"]
-    rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert {rule.code for rule in all_rules()} <= rule_ids
-    (result,) = run["results"]
-    assert result["ruleId"] == "MC2001"
-    assert result["level"] == "error"
-    region = result["locations"][0]["physicalLocation"]["region"]
-    assert region["startLine"] >= 1 and region["startColumn"] >= 1
-    assert result["partialFingerprints"]["mc2AnalyzeFingerprint/v1"]
+#: Three findings from two rules: two wall-clock reads (MC2001) and one
+#: global-RNG draw (MC2002).
+# The MC2002 finding comes first in line order but last in content
+# order, so a baseline that skipped its sort could never pass
+# test_baseline_entry_order_is_content_sorted by luck.
+MULTI_FINDING = """\
+import random
+import time
 
 
-def test_sarif_marks_suppressed_results_as_notes(tmp_path):
-    src = "import time\n\ndef t():\n    return time.time()  # noqa: MC2001\n"
-    report = analyze_source(tmp_path, src, select=["MC2001"])
-    log = json.loads(sarif.dumps(report.findings))
-    (result,) = log["runs"][0]["results"]
-    assert result["level"] == "note"
-    assert result["suppressions"] == [{"kind": "inSource"}]
+def pick(items):
+    return random.choice(items)
+
+
+def tick(sim):
+    return time.time()
+
+
+def tock(sim):
+    return time.time()
+"""
+
+
+def multi_finding_path(tmp_path):
+    path = tmp_path / "multi.py"
+    path.write_text(MULTI_FINDING)
+    return str(path)
+
+
+def test_baseline_save_is_canonical_and_keeps_justifications(tmp_path):
+    target = str(tmp_path / "baseline.json")
+    report = engine.run([multi_finding_path(tmp_path)],
+                        select=["MC2001", "MC2002"])
+    assert len(report.findings) == 3
+    baseline_mod.save(target, report.findings)
+
+    # Annotate one entry the way a reviewer would.
+    payload = json.loads(Path(target).read_text())
+    payload["entries"][0]["justification"] = "deliberate fixture"
+    kept = payload["entries"][0]["fingerprint"]
+    Path(target).write_text(json.dumps(payload) + "\n")
+
+    # Re-saving the same findings is byte-stable modulo the edit and
+    # carries the justification over by fingerprint.
+    baseline_mod.save(target, report.findings)
+    first = Path(target).read_bytes()
+    baseline_mod.save(target, report.findings)
+    assert Path(target).read_bytes() == first
+    assert first.endswith(b"\n")
+    entries = {e["fingerprint"]: e
+               for e in json.loads(first)["entries"]}
+    assert entries[kept]["justification"] == "deliberate fixture"
+
+    # Round trip: everything saved is baselined on the next run.
+    known = baseline_mod.load(target)
+    applied = baseline_mod.apply(report.findings, known)
+    assert all(f.baselined for f in applied)
+
+
+def test_baseline_entry_order_is_content_sorted(tmp_path):
+    target = str(tmp_path / "baseline.json")
+    report = engine.run([multi_finding_path(tmp_path)],
+                        select=["MC2001", "MC2002"])
+    baseline_mod.save(target, report.findings)
+    entries = json.loads(Path(target).read_text())["entries"]
+    assert len(entries) == 3
+    keys = [(e["path"], e["rule"], e["snippet"], e["fingerprint"])
+            for e in entries]
+    assert keys == sorted(keys)
+    # Line order disagrees with content order, so the sort did work.
+    arrival = [finding.rule
+               for finding, _ in baseline_mod.fingerprints(report.findings)]
+    assert arrival == ["MC2002", "MC2001", "MC2001"]
+    assert [e["rule"] for e in entries] == ["MC2001", "MC2001", "MC2002"]
 
 
 # --------------------------------------------------------------------- CLI
@@ -345,15 +395,27 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_sarif_output_file(tmp_path, capsys):
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text(POSITIVE["MC2002"])
-    out = tmp_path / "report.sarif"
-    assert cli_main([str(dirty), "--format", "sarif",
-                     "--output", str(out)]) == 1
-    log = json.loads(out.read_text())
-    assert log["runs"][0]["results"][0]["ruleId"] == "MC2002"
-    capsys.readouterr()
+def test_cli_stats_text_and_json(tmp_path):
+    path = multi_finding_path(tmp_path)
+    out = tmp_path / "stats.txt"
+    cli_main([path, "--select", "MC2001", "--stats", "--output", str(out)])
+    text = out.read_text()
+    assert "per-rule stats" in text
+    assert "MC2001" in text
+
+    out_json = tmp_path / "stats.json"
+    cli_main([path, "--select", "MC2001", "--stats", "--format", "json",
+              "--output", str(out_json)])
+    payload = json.loads(out_json.read_text())
+    assert payload["stats"]["MC2001"]["findings"] == 2
+    assert payload["stats"]["MC2001"]["seconds"] >= 0.0
+
+
+def test_stats_absent_without_flag(tmp_path):
+    out = tmp_path / "plain.json"
+    cli_main([multi_finding_path(tmp_path), "--select", "MC2001",
+              "--format", "json", "--output", str(out)])
+    assert "stats" not in json.loads(out.read_text())
 
 
 def test_cli_write_baseline_then_gate_passes(tmp_path, capsys):

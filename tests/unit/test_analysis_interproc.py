@@ -2,16 +2,15 @@
 
 Covers the shared call-graph IR, the fork-safety (MC2401-MC2404) and
 cache-soundness (MC2501-MC2503) rule families, suppression hygiene
-(MC2901), the baseline ``--diff`` mode, and the SARIF round trip.
+(MC2901), and the baseline ``--diff`` mode.
 """
 
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import baseline as baseline_mod
-from repro.analysis import engine, sarif
+from repro.analysis import engine
 from repro.analysis.callgraph import CallGraph, ProjectContext
 from repro.analysis.cli import main as cli_main
 
@@ -402,7 +401,14 @@ def test_exclude_directory_prefix(tmp_path):
     assert report.files_analyzed == 1
 
 
-# ------------------------------------------------------------ SARIF round trip
+# --------------------------------------------------- taint re-host regression
+def test_mc2301_findings_unchanged_on_repo():
+    # The re-hosted taint pass must not change verdicts on real code.
+    src_repro = Path(__file__).resolve().parents[2] / "src" / "repro"
+    report = engine.run([str(src_repro)], select=["MC2301"])
+    assert codes(report) == []
+
+
 def _sample_findings(tmp_path):
     src = ("import time\n\n"
            "def tick(sim):\n"
@@ -414,60 +420,6 @@ def _sample_findings(tmp_path):
     report = engine.run([str(path)])
     assert report.findings, "fixture must produce findings"
     return report.findings
-
-
-def test_sarif_required_fields(tmp_path):
-    log = sarif.to_sarif(_sample_findings(tmp_path))
-    assert log["version"] == "2.1.0"
-    assert log["$schema"].endswith("sarif-schema-2.1.0.json")
-    [run] = log["runs"]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "mc2-analyze"
-    assert driver["rules"], "rule catalogue must be embedded"
-    for rule in driver["rules"]:
-        assert rule["id"] and rule["shortDescription"]["text"]
-    for result in run["results"]:
-        assert result["ruleId"]
-        assert result["message"]["text"]
-        [loc] = result["locations"]
-        physical = loc["physicalLocation"]
-        assert physical["artifactLocation"]["uri"]
-        assert physical["region"]["startLine"] >= 1
-        assert physical["region"]["startColumn"] >= 1
-        assert result["partialFingerprints"]["mc2AnalyzeFingerprint/v1"]
-
-
-def test_sarif_round_trip_is_lossless(tmp_path):
-    findings = _sample_findings(tmp_path)
-    assert sarif.to_findings(sarif.to_sarif(findings)) == findings
-
-
-def test_sarif_round_trip_preserves_suppression_kinds(tmp_path):
-    findings = _sample_findings(tmp_path)
-    assert any(f.suppressed for f in findings)
-    back = sarif.to_findings(sarif.to_sarif(findings))
-    assert [f.suppressed for f in back] == [f.suppressed for f in findings]
-
-
-def test_sarif_round_trip_through_json_text(tmp_path):
-    findings = _sample_findings(tmp_path)
-    assert sarif.to_findings(json.loads(sarif.dumps(findings))) == findings
-
-
-def test_sarif_snippet_emitted(tmp_path):
-    findings = _sample_findings(tmp_path)
-    log = sarif.to_sarif(findings)
-    regions = [r["locations"][0]["physicalLocation"]["region"]
-               for r in log["runs"][0]["results"]]
-    assert any("snippet" in region for region in regions)
-
-
-# --------------------------------------------------- taint re-host regression
-def test_mc2301_findings_unchanged_on_repo():
-    # The re-hosted taint pass must not change verdicts on real code.
-    src_repro = Path(__file__).resolve().parents[2] / "src" / "repro"
-    report = engine.run([str(src_repro)], select=["MC2301"])
-    assert codes(report) == []
 
 
 def test_baseline_diff_helper_split(tmp_path):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import engine, simsan
-from repro.common.errors import SanitizerError
+from repro.common.errors import ConfigError, SanitizerError
 from repro.perf.cache import SimCache
 from repro.perf.runner import SimPoint, sim_map
 
@@ -38,11 +38,24 @@ def reset_plants():
 # --------------------------------------------------------------- mode parsing
 def test_mode_parsing(monkeypatch):
     for raw, expected in [("", "off"), ("0", "off"), ("off", "off"),
-                          ("1", "strict"), ("on", "strict"),
-                          ("strict", "strict"), ("WARN", "warn")]:
+                          ("false", "off"), ("1", "strict"),
+                          ("on", "strict"), ("strict", "strict"),
+                          ("true", "strict"), ("WARN", "warn")]:
         monkeypatch.setenv("REPRO_SIMSAN", raw)
         assert simsan.mode() == expected
         assert simsan.enabled() == (expected != "off")
+    # A retired or misspelt mode must fail loudly, never fall back to
+    # off; a sweep refuses it up front, even under the partial policy
+    # that would otherwise turn a per-point error into a hole.
+    for raw in ("own", "stirct"):
+        monkeypatch.setenv("REPRO_SIMSAN", raw)
+        with pytest.raises(ConfigError, match="1/on/strict/true"):
+            simsan.mode()
+        with pytest.raises(ConfigError, match="warn"):
+            simsan.enabled()
+        with pytest.raises(ConfigError):
+            sim_map([SimPoint(plants.planted_global_write, (1,))],
+                    jobs=1, cache=False, policy="partial")
 
 
 def test_period_parsing(monkeypatch):
