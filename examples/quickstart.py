@@ -20,18 +20,16 @@ from repro.common.units import KB
 from repro.copyengine import ALIASES, backend_names
 from repro.isa import ops
 from repro.sw.memcpy import memcpy_lazy_ops
-from repro.workloads.common import engine_needs_ctt, make_engine
+from repro.workloads.common import build_machine
 
 SIZE = 16 * KB
 
 
 def timed_copy(backend: str) -> int:
     """Cycles to complete one 16KB copy (plus fence) under ``backend``."""
-    config = SystemConfig()                   # Table I machine
-    if not engine_needs_ctt(backend):
-        config = config.with_overrides(mcsquare_enabled=False)
-    system = System(config)
-    engine = make_engine(backend, system)
+    # Table I machine (with the (MC)² controller only if the backend
+    # uses it).
+    system, engine = build_machine(backend, SystemConfig())
     src = system.alloc(SIZE, align=16 * KB)
     dst = system.alloc(SIZE, align=16 * KB)
     system.backing.fill(src, SIZE, 0xAB)
@@ -42,7 +40,10 @@ def timed_copy(backend: str) -> int:
 
     cycles = system.run_program(program())
     system.drain()
-    # Either way, the destination must hold the copied bytes.
+    # Either way, the destination must hold the copied bytes once any
+    # deferred state (zio's elided pages) is resolved.
+    system.run_program(engine.resolve_ops(dst, SIZE))
+    system.drain()
     assert system.read_memory(dst, SIZE) == b"\xAB" * SIZE
     return cycles
 

@@ -388,8 +388,7 @@ def figure23(sizes: Optional[Sequence[int]] = None,
                                                  sweep_backend_crossover)
 
     rows = sweep_backend_crossover(
-        backends=backends or ("eager", "mclazy", "zio",
-                              "rowclone", "mirror"),
+        backends=backends,
         sizes=sizes or (4 * KB, 16 * KB, 64 * KB, 256 * KB),
         localities=localities or LOCALITIES,
         fractions=fractions,

@@ -1,10 +1,12 @@
 """The pluggable copy-backend contract.
 
-A :class:`CopyBackend` is a :class:`repro.sw.engine.CopyEngine` with a
-standard observable surface and a four-hook lifecycle, so every copy
-mechanism the crossover study compares — the eager software loop, (MC)²
-lazy tracking, zIO page elision, and the in-DRAM RowClone / mirroring
-models — plugs into the same workloads, sweeps, and figures:
+:class:`CopyBackend` is the one copy contract workloads, the OS layer and
+the examples build and type against; :mod:`repro.copyengine.registry` is
+the only code that maps names to backends.  A backend has a standard
+observable surface and a four-hook lifecycle, so every copy mechanism
+the crossover study compares — the eager software loop, (MC)² lazy
+tracking, zIO page elision, and the in-DRAM RowClone / mirroring models
+— plugs into the same workloads, sweeps, and figures:
 
 * **issue** (:meth:`CopyBackend._issue_ops`) — emit the µops that
   perform (or register, or elide) one copy.  This is the only hook a
@@ -17,7 +19,7 @@ models — plugs into the same workloads, sweeps, and figures:
   to become ordinary memory so a functional comparison (or a checkpoint)
   sees final bytes.  ``mclazy`` needs nothing here because
   ``System.read_memory`` is CTT-aware; ``zio`` must fault its elided
-  pages in because the elision map lives in the engine, invisible to
+  pages in because the elision map lives in the backend, invisible to
   the memory system.
 * **coherence** (:meth:`CopyBackend.coherence_ops`) — the CPU-boundary
   cost a mechanism pays before offloading (LazyPIM-style flush +
@@ -30,7 +32,15 @@ the opt-in ``copyengine`` trace category (off by default, so traced
 golden runs stay byte-identical).
 
 Backends act only through the ops they emit, which run on the core
-that executes them; they never mutate memory-side state directly.
+that executes them; they never mutate memory-side state directly.  The
+base class inherits the pass-through ``read_ops`` / ``write_ops`` of
+:class:`repro.sw.engine.CopyEngine`, the op emitter the software
+backends delegate to.
+
+How a copy is invoked is a construction parameter, never a separate
+class: :meth:`CopyBackend.config_kwargs` maps ``SystemConfig`` fields to
+constructor arguments, and :meth:`CopyBackend.kernel_kwargs` gives the
+arguments for copies the kernel issues.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from repro.sw.memcpy import memcpy_ops
 
 
 class CopyBackend(CopyEngine):
-    """Base class for registered copy backends."""
+    """Base class for copy backends."""
 
     name = "backend"
 
@@ -54,6 +64,17 @@ class CopyBackend(CopyEngine):
         The registry's :func:`make_backend` applies these under any
         explicit overrides, so ``SystemConfig`` fields like
         ``copy_min_lazy`` flow to the right backend automatically.
+        """
+        return {}
+
+    @classmethod
+    def kernel_kwargs(cls, page_size: int) -> dict:
+        """Constructor kwargs for copies the kernel issues over
+        physically contiguous ``page_size`` pages (the COW handler's
+        ``copy_user_huge_page``, pipe buffers).
+
+        ``make_backend(..., kernel_page_size=...)`` applies these under
+        any explicit overrides; the default is the user-space mechanism.
         """
         return {}
 

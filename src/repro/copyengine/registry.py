@@ -1,5 +1,10 @@
 """Backend registry: name -> :class:`CopyBackend` class, plus aliases.
 
+This is the only module that knows backend names and their aliases:
+workloads, the OS layer and the examples pass a caller's name through
+:func:`make_backend` and :func:`needs_ctt` and never compare it
+themselves.
+
 Registration happens at import time only (decorators run when
 ``repro.copyengine`` is first imported, never on a sim path), so forked
 sweep workers and cached sim points all see the same finished registry.
@@ -7,7 +12,7 @@ sweep workers and cached sim points all see the same finished registry.
 
 from __future__ import annotations
 
-from typing import Dict, List, Type
+from typing import Dict, List, Optional, Type
 
 from repro.common.errors import ConfigError
 from repro.copyengine.base import CopyBackend
@@ -16,7 +21,8 @@ from repro.copyengine.base import CopyBackend
 BACKENDS: Dict[str, Type[CopyBackend]] = {}
 
 #: Historical / convenience spellings accepted everywhere a backend
-#: name is (SystemConfig.copy_backend, make_engine, example CLIs).
+#: name is (SystemConfig.copy_backend, workload engine names, example
+#: CLIs).
 ALIASES: Dict[str, str] = {
     "memcpy": "eager",
     "baseline": "eager",
@@ -55,13 +61,17 @@ def needs_ctt(name: str) -> bool:
     return canonical_name(name) == "mclazy"
 
 
-def make_backend(name: str, system, **overrides) -> CopyBackend:
+def make_backend(name: str, system,
+                 kernel_page_size: Optional[int] = None,
+                 **overrides) -> CopyBackend:
     """Build the backend called ``name`` for ``system``.
 
     Per-backend constructor defaults come from ``system.config`` (via
-    each class's ``config_kwargs``); keyword ``overrides`` win over
-    those.  Raises :class:`ConfigError` for unknown names and for
-    backends whose hardware the machine was built without.
+    each class's ``config_kwargs``).  ``kernel_page_size`` builds the
+    backend for copies the kernel issues over physically contiguous
+    pages of that size (via ``kernel_kwargs``).  Keyword ``overrides``
+    win over both.  Raises :class:`ConfigError` for unknown names and
+    for backends whose hardware the machine was built without.
     """
     canonical = canonical_name(name)
     cls = BACKENDS.get(canonical)  # noqa: MC2501
@@ -75,5 +85,7 @@ def make_backend(name: str, system, **overrides) -> CopyBackend:
             "the mclazy backend needs the (MC)² controller: build the "
             "system with mcsquare_enabled=True")
     kwargs = cls.config_kwargs(system.config)
+    if kernel_page_size is not None:
+        kwargs.update(cls.kernel_kwargs(kernel_page_size))
     kwargs.update(overrides)
     return cls(system, **kwargs)

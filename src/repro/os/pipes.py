@@ -4,9 +4,8 @@ A pipe transfer costs two syscalls and two copies: ``pipe_write`` copies
 the user buffer into the kernel's circular pipe buffer, and ``pipe_read``
 copies it back out into the reader's buffer.  The paper modifies
 ``pipe_write`` / ``pipe_read`` to use lazy copies instead; here the same
-substitution is made by constructing the :class:`Pipe` with a
-:class:`~repro.sw.engine.LazyEngine` (or any other
-:class:`~repro.sw.engine.CopyEngine`).
+substitution is made by constructing the :class:`Pipe` with the
+``mclazy`` backend (or any other :class:`~repro.copyengine.CopyBackend`).
 
 For small transfers the syscall cost dominates, so (MC)² helps little;
 for larger transfers it roughly doubles throughput by eliding both
@@ -19,15 +18,15 @@ from typing import Iterator
 
 from repro.common import params
 from repro.common.errors import SimulationError
+from repro.copyengine.base import CopyBackend
 from repro.isa import ops
 from repro.isa.ops import Op
-from repro.sw.engine import CopyEngine
 
 
 class Pipe:
     """A kernel pipe: fixed-size circular buffer in kernel memory."""
 
-    def __init__(self, system, engine: CopyEngine,
+    def __init__(self, system, engine: CopyBackend,
                  buffer_size: int = params.PIPE_BUFFER_SIZE):
         self.system = system
         self.engine = engine

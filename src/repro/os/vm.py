@@ -11,8 +11,9 @@ experiments exercise (§V-B "Concurrent snapshots with huge pages"):
 * a write to a COW page raises :class:`CowFault`; the caller resolves it
   with :meth:`OperatingSystem.begin_cow_fault` /
   :meth:`~OperatingSystem.complete_cow_fault`, emitting the page-copy ops
-  through whichever :class:`~repro.sw.engine.CopyEngine` is under test —
-  the native kernel copies eagerly, the modified kernel uses ``MCLAZY``.
+  through whichever :class:`~repro.copyengine.CopyBackend` is under test
+  — the native kernel copies eagerly, the modified kernel uses
+  ``MCLAZY``.
 
 Translation is explicit (workload generators call :meth:`translate`)
 rather than interposed on every op, keeping the hot simulation path

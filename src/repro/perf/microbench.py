@@ -108,13 +108,10 @@ def seq_access_stats_point(buffer_size: int = 64 * KB,
     from repro.analysis.figures import ACCESS_CONFIG
     from repro.common.units import CACHELINE_SIZE
     from repro.isa import ops
-    from repro.system.system import System
-    from repro.workloads.common import (LatencyRecorder, fill_pattern,
-                                        make_engine)
+    from repro.workloads.common import (LatencyRecorder, build_machine,
+                                        fill_pattern)
 
-    config: SystemConfig = ACCESS_CONFIG
-    system = System(config)
-    engine = make_engine(engine_name, system)
+    system, engine = build_machine(engine_name, ACCESS_CONFIG)
     if profiled:
         from repro.perf.profile import profile_simulator
         profile_simulator(system.sim)
@@ -167,13 +164,10 @@ def rand_access_stats_point(buffer_size: int = 64 * KB,
     import struct
 
     from repro.analysis.figures import ACCESS_CONFIG
-    from repro.system.system import System
-    from repro.workloads.common import LatencyRecorder, make_engine
+    from repro.workloads.common import LatencyRecorder, build_machine
     from repro.workloads.micro.access import _build_chain
 
-    config: SystemConfig = ACCESS_CONFIG
-    system = System(config)
-    engine = make_engine(engine_name, system)
+    system, engine = build_machine(engine_name, ACCESS_CONFIG)
     count = buffer_size // 8
     src = system.alloc(buffer_size + 4096, align=4096) + 16
     dst = system.alloc(buffer_size + 4096, align=4096)

@@ -1,24 +1,25 @@
-"""Copy-engine abstraction: one interface, three copy mechanisms.
+"""Op emitters the software copy backends call.
 
-Workloads are written once against :class:`CopyEngine` and run under each
-evaluated mechanism:
+Workloads build and type against :class:`repro.copyengine.CopyBackend`;
+these classes are the op-stream fragments the backends delegate to:
 
-* :class:`EagerEngine` — the native ``memcpy`` baseline,
+* :class:`CopyEngine` — the base: eager ``memcpy`` with pass-through
+  reads and writes (every backend inherits the access routing),
+* :class:`KernelEagerEngine` — the kernel's line-granular copy, behind
+  ``eager`` with ``kernel=True``,
 * :class:`LazyEngine` — (MC)² ``memcpy_lazy`` (optionally through the
-  interposer size threshold),
-* :class:`ZioEngine` — the zIO comparator (page-granularity elision with
-  copy-on-access faults), in :mod:`repro.zio.engine`.
+  interposer size threshold), behind ``mclazy``.
 
-The engine interface routes *reads and writes of copied data* as well,
-because zIO needs to interpose page faults on first access; the hardware
-engines pass accesses straight through.
+The interface routes *reads and writes of copied data* as well, because
+zIO needs to interpose page faults on first access; the hardware
+mechanisms pass accesses straight through.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.common import params
+from repro.common.units import CACHELINE_SIZE, align_rem
 from repro.isa import ops
 from repro.isa.ops import Op
 from repro.sw.memcpy import memcpy_lazy_ops, memcpy_ops
@@ -57,12 +58,6 @@ class CopyEngine:
             yield ops.store(addr, size, data=data, on_retire=on_retire)
 
 
-class EagerEngine(CopyEngine):
-    """Alias for the plain baseline, for symmetry in sweeps."""
-
-    name = "memcpy"
-
-
 class KernelEagerEngine(CopyEngine):
     """Native-kernel copies: ``rep movsb``-style line-granular moves.
 
@@ -75,17 +70,11 @@ class KernelEagerEngine(CopyEngine):
     name = "memcpy"
 
     def copy_ops(self, dst: int, src: int, size: int) -> Iterator[Op]:
-        from repro.common.units import CACHELINE_SIZE, align_rem
         head = min(align_rem(dst, CACHELINE_SIZE), size)
         if head or dst % CACHELINE_SIZE != src % CACHELINE_SIZE:
             # Misaligned relative layouts keep the chunked path.
             yield from memcpy_ops(self.system, dst, src, size)
             return
-        if head:
-            yield from memcpy_ops(self.system, dst, src, head)
-            dst += head
-            src += head
-            size -= head
         bulk = size & ~(CACHELINE_SIZE - 1)
         if bulk:
             yield ops.bulk_copy(dst, src, bulk)
@@ -117,58 +106,9 @@ class LazyEngine(CopyEngine):
         if size < self.min_lazy:
             yield from memcpy_ops(self.system, dst, src, size)
             return
-        if self.page_size is None:
-            yield from memcpy_lazy_ops(self.system, dst, src, size,
-                                       clwb_sources=self.clwb_sources)
-        else:
-            # Kernel-style invocation with a larger contiguity unit
-            # (e.g. 2MB when copy_user_huge_page knows the buffers are
-            # physically contiguous huge pages).
-            yield from _memcpy_lazy_paged(self.system, dst, src, size,
-                                          self.page_size,
-                                          self.clwb_sources)
+        yield from memcpy_lazy_ops(self.system, dst, src, size,
+                                   clwb_sources=self.clwb_sources,
+                                   page_size=self.page_size)
 
     def free_ops(self, addr: int, size: int) -> Iterator[Op]:
         yield ops.mcfree(addr, size)
-
-
-def _memcpy_lazy_paged(system, dst: int, src: int, size: int,
-                       page_size: int, clwb_sources: bool) -> Iterator[Op]:
-    """memcpy_lazy with an explicit contiguity granularity."""
-    from repro.common.units import CACHELINE_SIZE, align_rem
-    from repro.common import params as p
-
-    yield ops.compute(p.MEMCPY_LAZY_CALL_CYCLES)
-    while size > 0:
-        # Re-align the destination whenever an eager fringe breaks it
-        # (see memcpy_lazy_ops for the rationale).
-        left_fringe = min(align_rem(dst, CACHELINE_SIZE), size)
-        if left_fringe:
-            yield from memcpy_ops(system, dst, src, left_fringe)
-            dst += left_fringe
-            src += left_fringe
-            size -= left_fringe
-            continue
-        src_off = align_rem(src, page_size) or page_size
-        dst_off = align_rem(dst, page_size) or page_size
-        copy_size = min(src_off, dst_off, size)
-        if copy_size < CACHELINE_SIZE:
-            yield from memcpy_ops(system, dst, src, copy_size)
-        else:
-            copy_size &= ~(CACHELINE_SIZE - 1)
-            if clwb_sources:
-                line = src - (src % CACHELINE_SIZE)
-                while line < src + copy_size:
-                    yield ops.clwb(line)
-                    line += CACHELINE_SIZE
-            # One MCLAZY per CTT-entry-sized run (<= 2MB each).
-            pos = 0
-            while pos < copy_size:
-                run = min(copy_size - pos, p.CTT_MAX_COPY_SIZE)
-                yield ops.compute(p.MCLAZY_SETUP_CYCLES)
-                yield ops.mclazy(dst + pos, src + pos, run)
-                pos += run
-        dst += copy_size
-        src += copy_size
-        size -= copy_size
-    yield ops.mfence()

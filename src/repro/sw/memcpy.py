@@ -9,9 +9,9 @@ to be ``yield from``-ed inside a workload program:
   the destination with an eager fringe copy, CLWB every source line, then
   issue one MCLAZY per page-bounded run, and fence at the end (§III-D,
   §IV: writebacks are modelled by explicit CLWB calls).
-* :func:`interposed_memcpy_ops` — the ``copy_interpose.so`` policy:
-  redirect copies of at least ``min_lazy`` bytes (1KB in §V-B) to the
-  lazy path, fall back to eager otherwise.
+
+Copy *policies* (the ``copy_interpose.so`` size threshold, kernel-style
+invocation) live in the backends of :mod:`repro.copyengine`.
 
 All addresses are physical here; virtual-memory users go through
 :mod:`repro.os`, which translates before building ops.
@@ -59,7 +59,8 @@ def memcpy_ops(system, dst: int, src: int, size: int,
 def memcpy_lazy_ops(system, dst: int, src: int, size: int,
                     clwb_sources: bool = True,
                     fence: bool = True,
-                    wide_writeback: bool = False) -> Iterator[Op]:
+                    wide_writeback: bool = False,
+                    page_size: Optional[int] = None) -> Iterator[Op]:
     """The paper's ``memcpy_lazy`` wrapper (Fig. 8 pseudocode).
 
     Aligns the destination to a cacheline with an eager fringe copy,
@@ -68,11 +69,18 @@ def memcpy_lazy_ops(system, dst: int, src: int, size: int,
     Ends with an MFENCE ordering the prospective copies with later
     accesses.
 
+    ``page_size`` is the physical contiguity the caller guarantees (4KB
+    user pages by default; 2MB when the kernel's
+    ``copy_user_huge_page`` copies a huge page).  A run never crosses a
+    page, so ``page_size`` must not exceed ``CTT_MAX_COPY_SIZE``: the
+    CTT rejects larger entries.
+
     ``wide_writeback=True`` enables the paper's §V-A1 extension: the
     per-line CLWB train is replaced by a single range writeback per run,
     removing the overhead component that dominates above 1KB (see the
     ablation benchmark).
     """
+    page_size = page_size or PAGE_SIZE
     yield ops.compute(params.MEMCPY_LAZY_CALL_CYCLES)
     while size > 0:
         # Keep the destination cacheline-aligned.  The paper's Fig. 8
@@ -86,8 +94,8 @@ def memcpy_lazy_ops(system, dst: int, src: int, size: int,
             src += left_fringe
             size -= left_fringe
             continue
-        src_off = align_rem(src, PAGE_SIZE) or PAGE_SIZE
-        dst_off = align_rem(dst, PAGE_SIZE) or PAGE_SIZE
+        src_off = align_rem(src, page_size) or page_size
+        dst_off = align_rem(dst, page_size) or page_size
         copy_size = min(src_off, dst_off, size)
         if copy_size < CACHELINE_SIZE:
             yield from memcpy_ops(system, dst, src, copy_size)
@@ -108,27 +116,6 @@ def memcpy_lazy_ops(system, dst: int, src: int, size: int,
         size -= copy_size
     if fence:
         yield ops.mfence()
-
-
-def interposed_memcpy_ops(
-        system, dst: int, src: int, size: int,
-        min_lazy: int = params.INTERPOSER_MIN_LAZY_SIZE) -> Iterator[Op]:
-    """``copy_interpose.so``: lazy for large copies, eager otherwise."""
-    if size >= min_lazy:
-        yield from memcpy_lazy_ops(system, dst, src, size)
-    else:
-        yield from memcpy_ops(system, dst, src, size)
-
-
-def memcpy_backend_ops(system, dst: int, src: int, size: int) -> Iterator[Op]:
-    """Dispatch one copy through the machine's configured copy backend.
-
-    The backend comes from ``SystemConfig.copy_backend`` via
-    ``System.copy_backend()`` (see :mod:`repro.copyengine`), so the same
-    call site runs eager / mclazy / zio / rowclone / mirror depending on
-    configuration alone.
-    """
-    yield from system.copy_backend().copy_ops(dst, src, size)
 
 
 def touch_ops(addr: int, size: int,

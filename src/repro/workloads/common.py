@@ -1,15 +1,16 @@
-"""Shared workload utilities: deterministic data, timing markers, results."""
+"""Shared workload utilities: machine + copy-engine construction,
+deterministic data, timing markers."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.common.units import CACHELINE_SIZE
+from repro.copyengine import CopyBackend, make_backend, needs_ctt
 from repro.isa import ops
 from repro.isa.ops import Op
-from repro.sw.engine import CopyEngine
+from repro.system.config import SystemConfig
+from repro.system.system import System
 
 
 def rng(seed: int = 1234) -> random.Random:
@@ -79,13 +80,14 @@ class RegionTracker:
         return self.totals.get(name, 0)
 
 
-class NullCopyEngine(CopyEngine):
+class NullCopyEngine(CopyBackend):
     """Elides copies entirely and for free.
 
     Used only to *measure* copy overhead (Fig. 2): runtime(baseline) vs
     runtime(copies removed).  Data correctness is intentionally not
     preserved — destination reads are redirected to the source so access
-    patterns stay realistic.
+    patterns stay realistic — which is why it is not a registered
+    backend.
     """
 
     name = "nocopy"
@@ -94,10 +96,10 @@ class NullCopyEngine(CopyEngine):
         super().__init__(system)
         self._redirect: Dict[int, int] = {}
 
-    def copy_ops(self, dst: int, src: int, size: int) -> Iterator[Op]:
+    def _issue_ops(self, dst: int, src: int, size: int) -> Iterator[Op]:
+        self._outcome("elided")
         self._redirect[dst] = src
-        return
-        yield  # pragma: no cover - generator with no ops
+        return iter(())
 
     def read_ops(self, addr: int, size: int = 8, blocking: bool = False,
                  on_retire=None):
@@ -112,29 +114,29 @@ class NullCopyEngine(CopyEngine):
         return addr
 
 
-def make_engine(name: str, system, **kwargs) -> CopyEngine:
-    """Factory over the :mod:`repro.copyengine` registry.
+def make_engine(name: str, system, **kwargs) -> CopyBackend:
+    """The copy engine ``name`` for ``system``.
 
-    Accepts every registered backend name plus the historical aliases
-    (``memcpy``/``baseline`` → eager, ``mcsquare``/``mc2``/``lazy`` →
-    mclazy) and the measurement-only ``nocopy`` pseudo-engine, which is
-    not a real backend (it does not preserve data).
+    Every registered backend name or alias goes through the
+    :mod:`repro.copyengine` registry; ``nocopy`` is the
+    measurement-only :class:`NullCopyEngine`.
     """
-    if name == "nocopy":
+    if name == NullCopyEngine.name:
         return NullCopyEngine(system)
-    from repro.copyengine import make_backend
     return make_backend(name, system, **kwargs)
 
 
-def engine_needs_ctt(name: str) -> bool:
-    """True when ``name`` requires an (MC)²-enabled machine.
+def build_machine(engine_name: str, config: Optional[SystemConfig] = None,
+                  **engine_kwargs) -> Tuple[System, CopyBackend]:
+    """A fresh machine and its copy engine ``engine_name``.
 
-    Workload builders use this to flip ``mcsquare_enabled`` off for
-    backends that don't use the CTT, so baseline/zio/in-DRAM variants
-    run on a vanilla controller exactly as before the backend registry
-    existed.
+    Engines that do not use the CTT run on a vanilla controller
+    (``mcsquare_enabled=False``), so the baseline, zio and in-DRAM
+    variants see the machine the paper's baselines ran on.
+    ``engine_kwargs`` go to :func:`make_engine`.
     """
-    if name in ("nocopy", "native"):
-        return False
-    from repro.copyengine import needs_ctt
-    return needs_ctt(name)
+    config = config or SystemConfig()
+    if config.mcsquare_enabled and not needs_ctt(engine_name):
+        config = config.with_overrides(mcsquare_enabled=False)
+    system = System(config)
+    return system, make_engine(engine_name, system, **engine_kwargs)

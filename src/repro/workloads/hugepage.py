@@ -12,21 +12,21 @@ fault whose handler copies 2MB.
   hardware writes back any dirty source lines when the packet traverses
   the caches), so the spike is only the fault bookkeeping.
 
-Per-update latencies are measured RDTSC-style with retirement markers.
+The fault handler's copy engine is any registered backend built for
+kernel copies of huge pages (``kernel_page_size=HUGE_PAGE_SIZE``; see
+:meth:`repro.copyengine.CopyBackend.kernel_kwargs`).  Per-update
+latencies are measured RDTSC-style with retirement markers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
-from repro import System, SystemConfig
-from repro.common import params
+from repro import SystemConfig
 from repro.common.units import HUGE_PAGE_SIZE, MB
 from repro.isa import ops
 from repro.os.vm import OperatingSystem
-from repro.sw.engine import KernelEagerEngine, LazyEngine
-from repro.workloads.common import (LatencyRecorder, engine_needs_ctt,
-                                    make_engine, rng)
+from repro.workloads.common import LatencyRecorder, build_machine, rng
 
 
 class HugePageCowWorkload:
@@ -35,27 +35,11 @@ class HugePageCowWorkload:
     def __init__(self, engine_name: str, region_size: int = 64 * MB,
                  num_updates: int = 100,
                  config: Optional[SystemConfig] = None, seed: int = 17):
-        config = config or SystemConfig()
-        if not engine_needs_ctt(engine_name) and config.mcsquare_enabled:
-            config = config.with_overrides(mcsquare_enabled=False)
-        self.config = config
-        self.system = System(config)
+        self.system, self.engine = build_machine(
+            engine_name, config, kernel_page_size=HUGE_PAGE_SIZE)
+        self.config = self.system.config
+        self.engine_name = engine_name
         self.os = OperatingSystem(self.system)
-        if engine_name in ("memcpy", "native"):
-            self.engine = KernelEagerEngine(self.system)
-            self.engine_name = "native"
-        elif engine_name in ("mcsquare", "mc2", "lazy", "mclazy"):
-            # Kernel lazy path: huge-page contiguity, hardware handles
-            # dirty-source writeback at MCLAZY time.
-            self.engine = LazyEngine(self.system,
-                                     page_size=HUGE_PAGE_SIZE,
-                                     clwb_sources=False)
-            self.engine_name = "mcsquare"
-        else:
-            # Any registered copy backend (zio / rowclone / mirror ...):
-            # the COW handler copies whole huge pages through it.
-            self.engine = make_engine(engine_name, self.system)
-            self.engine_name = engine_name
         self.region_size = region_size
         self.num_updates = num_updates
         self.seed = seed

@@ -18,21 +18,11 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional
 
-from repro import System, SystemConfig
+from repro import SystemConfig
 from repro.common.units import CACHELINE_SIZE, MB
 from repro.isa import ops
-from repro.workloads.common import (LatencyRecorder, engine_needs_ctt,
-                                    fill_pattern,
-                                    make_engine, rng)
-
-
-def _build_system(engine_name: str, config: SystemConfig,
-                  **engine_kwargs):
-    if not engine_needs_ctt(engine_name) and config.mcsquare_enabled:
-        config = config.with_overrides(mcsquare_enabled=False)
-    system = System(config)
-    engine = make_engine(engine_name, system, **engine_kwargs)
-    return system, engine
+from repro.workloads.common import (LatencyRecorder, build_machine,
+                                    fill_pattern, rng)
 
 
 def run_sequential_access(engine_name: str, fraction: float,
@@ -46,8 +36,7 @@ def run_sequential_access(engine_name: str, fraction: float,
     paper does on purpose; pass 0 for the "[Aligned]" variant and a
     config with ``prefetch_enabled=False`` for "[No prefetch]".
     """
-    config = config or SystemConfig()
-    system, engine = _build_system(engine_name, config)
+    system, engine = build_machine(engine_name, config)
     src = system.alloc(buffer_size + 4096, align=4096) + misalign
     dst = system.alloc(buffer_size + 4096, align=4096)
     fill_pattern(system, src, buffer_size)
@@ -142,8 +131,7 @@ def run_random_access(engine_name: str, fraction: float,
     Pass ``config.with_overrides(bounce_writeback=False)`` for the
     "[No writeback]" ablation and ``misalign=0`` for "[Aligned]".
     """
-    config = config or SystemConfig()
-    system, engine = _build_system(engine_name, config)
+    system, engine = build_machine(engine_name, config)
     count = buffer_size // 8
     src = system.alloc(buffer_size + 4096, align=4096) + misalign
     dst = system.alloc(buffer_size + 4096, align=4096)

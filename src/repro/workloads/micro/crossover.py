@@ -23,14 +23,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro import System, SystemConfig
+from repro import SystemConfig
 from repro.common import params
 from repro.common.errors import ConfigError
 from repro.common.units import CACHELINE_SIZE, KB, MB
+from repro.copyengine import backend_names
 from repro.isa import ops
 from repro.sw.memcpy import stream_read_ops
-from repro.workloads.common import (LatencyRecorder, engine_needs_ctt,
-                                    fill_pattern, make_engine)
+from repro.workloads.common import (LatencyRecorder, build_machine,
+                                    fill_pattern)
 
 #: Localities the crossover sweep exercises (see module docstring).
 LOCALITIES = ("subarray", "channel", "cross")
@@ -57,10 +58,7 @@ def run_backend_crossover(backend: str, size: int,
         # Row-aligned buffers in an ideal (subarray-aware) layout: full
         # destination rows are FPM candidates for rowclone/mirror.
         config = config.with_overrides(inmem_layout="ideal")
-    if not engine_needs_ctt(backend) and config.mcsquare_enabled:
-        config = config.with_overrides(mcsquare_enabled=False)
-    system = System(config)
-    engine = make_engine(backend, system)
+    system, engine = build_machine(backend, config)
 
     # One "local row" spans channels*ROW_BYTES of the physical address
     # space (lines interleave across channels), so aligning to that
@@ -123,16 +121,20 @@ def run_backend_crossover(backend: str, size: int,
 
 
 def sweep_backend_crossover(
-        backends: Sequence[str] = ("eager", "mclazy", "zio",
-                                   "rowclone", "mirror"),
+        backends: Optional[Sequence[str]] = None,
         sizes: Sequence[int] = (4 * KB, 64 * KB, 1 * MB),
         localities: Sequence[str] = LOCALITIES,
         fractions: Sequence[float] = (0.25,),
         pressures: Sequence[bool] = (False,),
         config: Optional[SystemConfig] = None
         ) -> List[Dict[str, object]]:
-    """The full crossover grid, one row per point, via ``sim_map``."""
+    """The full crossover grid, one row per point, via ``sim_map``.
+
+    ``backends`` defaults to every registered backend.
+    """
     from repro.perf.runner import SimPoint, sim_map
+
+    backends = backends or backend_names()
 
     points = []
     for locality in localities:

@@ -15,8 +15,8 @@ from typing import Dict, List, Optional
 from repro import System, SystemConfig
 from repro.isa import ops
 from repro.sw.memcpy import memcpy_lazy_ops, touch_ops
-from repro.workloads.common import (LatencyRecorder, engine_needs_ctt,
-                                    fill_pattern, make_engine)
+from repro.workloads.common import (LatencyRecorder, build_machine,
+                                    fill_pattern)
 
 
 def measure_copy_latency(engine_name: str, size: int,
@@ -29,11 +29,7 @@ def measure_copy_latency(engine_name: str, size: int,
     ``misalign`` offsets the source relative to the destination line.
     Returns ``{"cycles": ..., "ns": ...}``.
     """
-    config = config or SystemConfig()
-    if not engine_needs_ctt(engine_name) and config.mcsquare_enabled:
-        config = config.with_overrides(mcsquare_enabled=False)
-    system = System(config)
-    engine = make_engine(engine_name, system)
+    system, engine = build_machine(engine_name, config)
     src = system.alloc(size + 4096, align=4096) + misalign
     dst = system.alloc(size + 4096, align=4096)
     fill_pattern(system, src, size)
@@ -50,7 +46,7 @@ def measure_copy_latency(engine_name: str, size: int,
     system.run_program(program())
     system.drain()
     cycles = recorder.samples[0]
-    return {"cycles": cycles, "ns": cycles / config.clock_ghz}
+    return {"cycles": cycles, "ns": cycles / system.config.clock_ghz}
 
 
 def measure_lazy_breakdown(size: int,

@@ -18,15 +18,14 @@ page fault per accessed page, which is why it *slows down* inserts.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
-from repro import System, SystemConfig
+from repro import SystemConfig
 from repro.common import params
 from repro.common.units import CACHELINE_SIZE, KB, PAGE_SIZE
 from repro.isa import ops
-from repro.workloads.common import (LatencyRecorder, engine_needs_ctt,
-                                    fill_pattern,
-                                    make_engine, rng)
+from repro.workloads.common import (LatencyRecorder, build_machine,
+                                    fill_pattern, rng)
 
 
 class MongoInsertWorkload:
@@ -36,13 +35,8 @@ class MongoInsertWorkload:
                  fields_per_doc: int = 10, field_size: int = 100 * KB,
                  index_read_fraction: float = 0.3,
                  config: Optional[SystemConfig] = None, seed: int = 23):
-        config = config or SystemConfig()
-        if not engine_needs_ctt(engine_name) \
-                and config.mcsquare_enabled:
-            config = config.with_overrides(mcsquare_enabled=False)
-        self.config = config
-        self.system = System(config)
-        self.engine = make_engine(engine_name, self.system)
+        self.system, self.engine = build_machine(engine_name, config)
+        self.config = self.system.config
         self.engine_name = engine_name
         self.num_inserts = num_inserts
         self.fields_per_doc = fields_per_doc

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional
 
-from repro import System, SystemConfig
+from repro import SystemConfig
 from repro.common.errors import ConfigError
 from repro.common.units import CACHELINE_SIZE, KB
 from repro.isa import ops
-from repro.workloads.common import (engine_needs_ctt, fill_pattern,
+from repro.workloads.common import (build_machine, fill_pattern,
                                     make_engine, rng)
 
 
@@ -41,13 +41,10 @@ class MvccWorkload:
         if update_kind not in ("rmw", "write", "write_nt"):
             raise ConfigError(f"bad update kind {update_kind!r}")
         config = config or SystemConfig()
-        if not engine_needs_ctt(engine_name) \
-                and config.mcsquare_enabled:
-            config = config.with_overrides(mcsquare_enabled=False)
         if num_threads > config.num_cpus:
             raise ConfigError("more threads than simulated CPUs")
-        self.config = config
-        self.system = System(config)
+        self.system, engine = build_machine(engine_name, config)
+        self.config = self.system.config
         self.engine_name = engine_name
         self.num_threads = num_threads
         self.txns_per_thread = txns_per_thread
@@ -71,8 +68,8 @@ class MvccWorkload:
             self.partitions.append({"table": table, "versions": versions})
         # One engine per thread (zIO tracking is per-process but our
         # workload partitions do not overlap, so this is equivalent).
-        self.engines = [make_engine(engine_name, self.system)
-                        for _ in range(num_threads)]
+        self.engines = [engine] + [make_engine(engine_name, self.system)
+                                   for _ in range(num_threads - 1)]
 
     # ----------------------------------------------------------- programs
     def _thread_program(self, thread: int) -> Iterator[ops.Op]:

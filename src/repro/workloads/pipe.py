@@ -3,20 +3,21 @@
 A producer sends buffers of a given size to a consumer through a Linux
 pipe; each transfer costs two syscalls and two kernel-buffer copies
 (:mod:`repro.os.pipes`).  The modified kernel replaces both copies with
-``memcpy_lazy``.  Reported metric matches the paper: throughput in
-bytes per kilocycle.
+``memcpy_lazy``.  The copy engine is any registered backend built for
+kernel copies of base pages (``kernel_page_size=PAGE_SIZE``).  Reported
+metric matches the paper: throughput in bytes per kilocycle.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, Optional
 
-from repro import System, SystemConfig
-from repro.common.units import CACHELINE_SIZE, KB
+from repro import SystemConfig
+from repro.common.units import CACHELINE_SIZE, PAGE_SIZE
 from repro.isa import ops
 from repro.os.pipes import Pipe
-from repro.sw.engine import KernelEagerEngine, LazyEngine
-from repro.workloads.common import LatencyRecorder, fill_pattern
+from repro.workloads.common import (LatencyRecorder, build_machine,
+                                    fill_pattern)
 
 
 class PipeTransferWorkload:
@@ -26,17 +27,10 @@ class PipeTransferWorkload:
                  num_transfers: int = 20,
                  consume_fraction: float = 1.0,
                  config: Optional[SystemConfig] = None):
-        config = config or SystemConfig()
-        if engine_name in ("memcpy", "native") and config.mcsquare_enabled:
-            config = config.with_overrides(mcsquare_enabled=False)
-        self.config = config
-        self.system = System(config)
-        if engine_name in ("memcpy", "native"):
-            self.engine = KernelEagerEngine(self.system)
-            self.engine_name = "native"
-        else:
-            self.engine = LazyEngine(self.system)
-            self.engine_name = "mcsquare"
+        self.system, self.engine = build_machine(
+            engine_name, config, kernel_page_size=PAGE_SIZE)
+        self.config = self.system.config
+        self.engine_name = engine_name
         self.pipe = Pipe(self.system, self.engine)
         self.transfer_size = transfer_size
         self.num_transfers = num_transfers

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro import System, SystemConfig
+from repro import SystemConfig
 from repro.common import params
 from repro.common.units import CACHELINE_SIZE, KB
 from repro.isa import ops
-from repro.workloads.common import (RegionTracker, engine_needs_ctt,
-                                    fill_pattern, make_engine,
-                                    rng)
+from repro.workloads.common import (RegionTracker, build_machine,
+                                    fill_pattern, rng)
 
 #: The paper's Fig. 4 size distribution: (size, cumulative probability).
 SIZE_CDF: List[Tuple[int, float]] = [
@@ -67,15 +66,12 @@ class ProtobufWorkload:
                  access_fraction: float = 0.1, seed: int = 11,
                  config: Optional[SystemConfig] = None,
                  min_lazy: int = params.INTERPOSER_MIN_LAZY_SIZE):
-        config = config or SystemConfig()
-        if not engine_needs_ctt(engine_name) \
-                and config.mcsquare_enabled:
-            config = config.with_overrides(mcsquare_enabled=False)
-        self.config = config
-        self.system = System(config)
-        kwargs = {"min_lazy": min_lazy} if engine_name in (
-            "mcsquare", "mc2", "lazy") else {}
-        self.engine = make_engine(engine_name, self.system, **kwargs)
+        # The interposer threshold reaches the backends that have one
+        # through SystemConfig.copy_min_lazy.
+        config = (config or SystemConfig()).with_overrides(
+            copy_min_lazy=min_lazy)
+        self.system, self.engine = build_machine(engine_name, config)
+        self.config = self.system.config
         self.engine_name = engine_name
         self.messages = generate_messages(num_ops, seed)
         self.access_fraction = access_fraction

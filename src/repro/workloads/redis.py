@@ -21,13 +21,12 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional
 
-from repro import System, SystemConfig
+from repro import SystemConfig
 from repro.common import params
 from repro.common.units import CACHELINE_SIZE, KB
 from repro.isa import ops
 from repro.sw.allocator import FreeListAllocator
-from repro.workloads.common import (engine_needs_ctt, fill_pattern,
-                                    make_engine, rng)
+from repro.workloads.common import build_machine, fill_pattern, rng
 
 
 class RedisWorkload:
@@ -36,13 +35,8 @@ class RedisWorkload:
     def __init__(self, engine_name: str, num_commands: int = 40,
                  value_size: int = 4 * KB, get_fraction: float = 0.3,
                  config: Optional[SystemConfig] = None, seed: int = 31):
-        config = config or SystemConfig()
-        if not engine_needs_ctt(engine_name) \
-                and config.mcsquare_enabled:
-            config = config.with_overrides(mcsquare_enabled=False)
-        self.config = config
-        self.system = System(config)
-        self.engine = make_engine(engine_name, self.system)
+        self.system, self.engine = build_machine(engine_name, config)
+        self.config = self.system.config
         self.engine_name = engine_name
         self.num_commands = num_commands
         self.value_size = value_size

@@ -19,15 +19,14 @@ destination lines instead of laundering them as clean data.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import System, small_system
-from repro.common.units import CACHELINE_SIZE, PAGE_SIZE
+from repro import small_system
+from repro.common.units import CACHELINE_SIZE
+from repro.copyengine import backend_names
 from repro.isa import ops
-from repro.workloads.common import engine_needs_ctt, make_engine
+from repro.workloads.common import build_machine
 
 CL = CACHELINE_SIZE
 REGION = 32 * 1024   # two 16KB "local rows" on the 2-channel test machine
-
-BACKENDS = ("eager", "mclazy", "zio", "rowclone", "mirror")
 
 
 @st.composite
@@ -59,11 +58,7 @@ def copy_programs(draw):
 
 
 def _build(backend, layout="hash"):
-    kwargs = {}
-    if not engine_needs_ctt(backend):
-        kwargs["mcsquare_enabled"] = False
-    system = System(small_system(inmem_layout=layout, **kwargs))
-    return system, make_engine(backend, system)
+    return build_machine(backend, small_system(inmem_layout=layout))
 
 
 def run_case(backend, steps, layout="hash"):
@@ -107,7 +102,7 @@ def run_case(backend, steps, layout="hash"):
             f"visible={visible[i]:#x} shadow={shadow[i]:#x}")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", backend_names())
 @settings(max_examples=12, deadline=None)
 @given(steps=copy_programs())
 def test_backend_matches_shadow(backend, steps):

@@ -9,7 +9,7 @@ from repro.common.units import HUGE_PAGE_SIZE, KB, MB, PAGE_SIZE
 from repro.isa import ops
 from repro.os.pipes import Pipe
 from repro.os.vm import CowFault, OperatingSystem
-from repro.sw.engine import EagerEngine, KernelEagerEngine
+from repro.copyengine import make_backend
 from repro.workloads.common import fill_pattern
 
 
@@ -126,7 +126,7 @@ class TestFork:
 
     def test_cow_store_ops_end_to_end(self):
         system, osys = build()
-        engine = KernelEagerEngine(system)
+        engine = make_backend("eager", system, kernel=True)
         parent = osys.create_space()
         parent.map_region(0x10000, PAGE_SIZE)
         pa = parent.translate(0x10000)
@@ -153,7 +153,7 @@ class TestFork:
 class TestPipes:
     def _pipe(self):
         system = System(small_system(mcsquare_enabled=False))
-        engine = KernelEagerEngine(system)
+        engine = make_backend("eager", system, kernel=True)
         return system, Pipe(system, engine)
 
     def test_transfer_moves_data(self):

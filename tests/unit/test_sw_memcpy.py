@@ -3,10 +3,11 @@
 import pytest
 
 from repro import System, small_system
+from repro.common import params
 from repro.common.units import CACHELINE_SIZE, PAGE_SIZE
+from repro.copyengine import make_backend
 from repro.isa.ops import OpKind
-from repro.sw.memcpy import (interposed_memcpy_ops, memcpy_lazy_ops,
-                             memcpy_ops, touch_ops)
+from repro.sw.memcpy import memcpy_lazy_ops, memcpy_ops, touch_ops
 
 CL = CACHELINE_SIZE
 
@@ -92,6 +93,22 @@ class TestLazyMemcpy:
             assert op.src_addr // PAGE_SIZE == \
                 (op.src_addr + op.size - 1) // PAGE_SIZE
 
+    @pytest.mark.parametrize("page_size", [None, PAGE_SIZE, 16 * PAGE_SIZE])
+    def test_page_size_sets_the_run_bound(self, page_size):
+        system = build()
+        unit = page_size or PAGE_SIZE
+        src = system.alloc(64 * PAGE_SIZE, align=16 * PAGE_SIZE)
+        dst = system.alloc(64 * PAGE_SIZE, align=16 * PAGE_SIZE) + CL
+        runs = [op for op in memcpy_lazy_ops(system, dst, src,
+                                             32 * PAGE_SIZE,
+                                             page_size=page_size)
+                if op.kind is OpKind.MCLAZY]
+        assert max(op.size for op in runs) == unit - CL
+        for op in runs:
+            assert op.addr // unit == (op.addr + op.size - 1) // unit
+            assert op.src_addr // unit == \
+                (op.src_addr + op.size - 1) // unit
+
     def test_destinations_are_cacheline_aligned(self):
         system = build()
         src = system.alloc(8192, align=PAGE_SIZE) + 3
@@ -132,27 +149,33 @@ class TestLazyMemcpy:
         assert ops_list[-1].kind is OpKind.MFENCE
 
 
+def interposed(system):
+    """The ``copy_interpose.so`` policy: lazy from 1KB, eager below."""
+    return make_backend("mclazy", system,
+                        min_lazy=params.INTERPOSER_MIN_LAZY_SIZE)
+
+
 class TestInterposer:
     def test_small_copy_eager(self):
         system = build()
         src = system.alloc(4096, align=PAGE_SIZE)
         dst = system.alloc(4096, align=PAGE_SIZE)
-        ops_list = list(interposed_memcpy_ops(system, dst, src, 512))
+        ops_list = list(interposed(system).copy_ops(dst, src, 512))
         assert not any(op.kind is OpKind.MCLAZY for op in ops_list)
 
     def test_large_copy_lazy(self):
         system = build()
         src = system.alloc(4096, align=PAGE_SIZE)
         dst = system.alloc(4096, align=PAGE_SIZE)
-        ops_list = list(interposed_memcpy_ops(system, dst, src, 2048))
+        ops_list = list(interposed(system).copy_ops(dst, src, 2048))
         assert any(op.kind is OpKind.MCLAZY for op in ops_list)
 
     def test_threshold_boundary(self):
         system = build()
         src = system.alloc(4096, align=PAGE_SIZE)
         dst = system.alloc(4096, align=PAGE_SIZE)
-        at = list(interposed_memcpy_ops(system, dst, src, 1024))
-        below = list(interposed_memcpy_ops(system, dst, src, 1023))
+        at = list(interposed(system).copy_ops(dst, src, 1024))
+        below = list(interposed(system).copy_ops(dst, src, 1023))
         assert any(op.kind is OpKind.MCLAZY for op in at)
         assert not any(op.kind is OpKind.MCLAZY for op in below)
 

@@ -1,10 +1,34 @@
 """Unit-level tests for the workload generators (fast, no big sims)."""
 
+import functools
+
 import pytest
 
-from repro.common.units import KB
+from repro.common.units import KB, MB
+from repro.copyengine import ALIASES
 from repro.workloads.common import (LatencyRecorder, RegionTracker,
                                     fill_pattern, make_engine, rng)
+from repro.workloads.hugepage import HugePageCowWorkload, run_hugepage_cow
+from repro.workloads.pipe import PipeTransferWorkload, run_pipe
+from repro.workloads.protobuf import run_protobuf
+
+#: Small runs of the workloads whose results are labelled with the
+#: engine name the caller passed.
+NAMED_RUNS = {
+    "protobuf": lambda name: run_protobuf(name, num_ops=10),
+    "pipe": lambda name: run_pipe(name, 4 * KB, num_transfers=2),
+    "hugepage": lambda name: run_hugepage_cow(name, region_size=2 * MB,
+                                              num_updates=2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _named_run(workload, name):
+    """``workload``'s result under ``name``, less the label, which must
+    be ``name`` itself."""
+    result = dict(NAMED_RUNS[workload](name))
+    assert result.pop("engine") == name
+    return result
 
 
 class TestCommonHelpers:
@@ -72,6 +96,26 @@ class TestCommonHelpers:
         assert regions.cycles("work") < 2000
 
 
+class TestEngineNames:
+    """Only the copy-engine registry interprets engine names."""
+
+    @pytest.mark.parametrize("workload", sorted(NAMED_RUNS))
+    @pytest.mark.parametrize("alias", sorted(ALIASES))
+    def test_alias_runs_like_its_canonical_name(self, alias, workload):
+        assert _named_run(workload, alias) == \
+            _named_run(workload, ALIASES[alias])
+
+    def test_pipe_runs_zio_under_its_own_name(self):
+        w = PipeTransferWorkload("zio", 16 * KB, num_transfers=2)
+        result = w.run()
+        assert result["engine"] == "zio"
+        assert w.system.ctt is None
+        # One copy into the pipe and one out of it per transfer.
+        assert w.system.stats.get("copyengine.zio.copies") == 4
+        assert w.system.stats.get("copyengine.zio.elisions") > 0
+        assert result != run_pipe("mcsquare", 16 * KB, num_transfers=2)
+
+
 class TestProtobufGenerators:
     def test_size_samples_match_cdf_support(self):
         from repro.workloads.protobuf import SIZE_CDF, sample_copy_size
@@ -136,6 +180,13 @@ class TestHugepageSetup:
         assert lazy.engine_name == "mcsquare"
         assert lazy.system.ctt is not None
         assert native.system.ctt is None
+
+    def test_kernel_cow_copy_is_counted(self):
+        w = HugePageCowWorkload("native", region_size=2 * MB, num_updates=2)
+        w.run()
+        assert w.system.stats.get("copyengine.eager.copies") == 1
+        assert w.system.stats.get("copyengine.eager.bytes_requested") == \
+            2 * MB
 
 
 class TestRedisSetup:
