@@ -65,12 +65,17 @@ copyengine-smoke:
 	$(PYTHON) -m pytest benchmarks/test_fig23_backend_crossover.py -k smoke -x -q -p no:cacheprovider
 
 # One traced micro workload end to end: export, schema-validate, and
-# summarize a Chrome trace (docs/OBSERVABILITY.md).
+# summarize a Chrome trace (docs/OBSERVABILITY.md); then hold the
+# random-access exhibit to its golden (diff --strict).
 trace-smoke:
 	$(PYTHON) -m repro.obs run --workload seq --buffer-kb 64 \
 		--out results/traces/trace-smoke.trace.json \
 		--timeline-csv results/traces/trace-smoke.timeline.csv
 	$(PYTHON) -m repro.obs validate results/traces/trace-smoke.trace.json
+	$(PYTHON) -m repro.obs run --workload random --buffer-kb 16 \
+		--out results/traces/trace-smoke-random.trace.json
+	$(PYTHON) -m repro.obs diff --strict tests/goldens/random-16k.trace.json \
+		results/traces/trace-smoke-random.trace.json
 
 # Chaos drill: kill workers / sleep past deadlines / SIGKILL the
 # sweeping process, then assert checkpoint-resume merges bit-identical

@@ -1,16 +1,21 @@
-"""Golden-trace regression: the canonical traced exhibit must not drift.
+"""Golden-trace regression: the canonical traced exhibits must not drift.
 
 ``tests/goldens/seq-16k.trace.json`` is the checked-in export of one
-traced (MC)² sequential-access run.  The obs byte-determinism contract
-says re-running the same config produces identical bytes; this test
-(and the ``trace-golden`` CI step) re-export the exhibit and hold it to
-that — any change to engine scheduling, controller timing, or trace
-encoding shows up as a reviewable golden diff instead of silent drift.
+traced (MC)² sequential-access run, and
+``tests/goldens/random-16k.trace.json`` one of the random-access run
+(the Fig. 13 regime, where double bounces cross controllers).  The obs
+byte-determinism contract says re-running the same config produces
+identical bytes; these tests (and the golden steps of CI's obs-smoke
+job) re-export each exhibit and hold it to that — any change to engine
+scheduling, controller timing, or trace encoding shows up as a
+reviewable golden diff instead of silent drift.
 
 Regenerate deliberately with::
 
     PYTHONPATH=src python -m repro.obs run --workload seq --buffer-kb 16 \
         --out tests/goldens/seq-16k.trace.json
+    PYTHONPATH=src python -m repro.obs run --workload random --buffer-kb 16 \
+        --out tests/goldens/random-16k.trace.json
 """
 
 import json
@@ -19,10 +24,11 @@ from pathlib import Path
 from repro.obs.cli import main as obs_main
 
 GOLDEN = Path(__file__).resolve().parents[1] / "goldens" / "seq-16k.trace.json"
+RANDOM_GOLDEN = GOLDEN.with_name("random-16k.trace.json")
 
 
-def _regenerate(out_path: Path) -> None:
-    assert obs_main(["run", "--workload", "seq", "--buffer-kb", "16",
+def _regenerate(out_path: Path, workload: str = "seq") -> None:
+    assert obs_main(["run", "--workload", workload, "--buffer-kb", "16",
                      "--out", str(out_path)]) == 0
 
 
@@ -39,6 +45,19 @@ def test_golden_trace_bytes_identical(tmp_path):
     fresh = tmp_path / "fresh.trace.json"
     _regenerate(fresh)
     assert fresh.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_random_golden_trace_summary_diff_strict(tmp_path, capsys):
+    fresh = tmp_path / "fresh.trace.json"
+    _regenerate(fresh, workload="random")
+    assert obs_main(["diff", "--strict", str(RANDOM_GOLDEN), str(fresh)]) == 0
+    assert "identical" in capsys.readouterr().out
+
+
+def test_random_golden_trace_bytes_identical(tmp_path):
+    fresh = tmp_path / "fresh.trace.json"
+    _regenerate(fresh, workload="random")
+    assert fresh.read_bytes() == RANDOM_GOLDEN.read_bytes()
 
 
 def test_golden_trace_mclazy_backend_identical(tmp_path):
@@ -58,6 +77,7 @@ def test_golden_trace_mclazy_backend_identical(tmp_path):
 
 
 def test_golden_trace_validates():
-    assert obs_main(["validate", str(GOLDEN)]) == 0
-    payload = json.loads(GOLDEN.read_text())
-    assert payload["traceEvents"]
+    for golden in (GOLDEN, RANDOM_GOLDEN):
+        assert obs_main(["validate", str(golden)]) == 0
+        payload = json.loads(golden.read_text())
+        assert payload["traceEvents"]
