@@ -5,6 +5,13 @@ A :class:`Cache` is a plain state container (tags + data + LRU); the
 evictions and timing.  Lines carry real bytes: dirty data lives only in
 the cache until written back, which is what makes the (MC)² BPQ semantics
 (lazy copies read *pre-write* memory) testable end to end.
+
+Every cache also records which lines it holds in a *presence directory*
+(line address -> bitmask of the caches holding it), kept exact by
+:meth:`Cache.fill`, :meth:`Cache.invalidate` and :meth:`Cache.clear`.  A
+hierarchy hands one shared directory and a distinct bit to each of its
+caches, so a whole-hierarchy probe for a line is one dict lookup; a
+standalone cache keeps a private directory.
 """
 
 from __future__ import annotations
@@ -41,7 +48,9 @@ class Cache:
 
     def __init__(self, name: str, size: int, assoc: int,
                  stats: Optional[StatGroup] = None,
-                 policy: Optional["ReplacementPolicy"] = None):
+                 policy: Optional["ReplacementPolicy"] = None,
+                 directory: Optional[Dict[int, int]] = None,
+                 bit: int = 1):
         from repro.cache.replacement import LruPolicy
         if size % (assoc * CACHELINE_SIZE):
             raise ConfigError(f"{name}: size {size} not divisible by "
@@ -53,6 +62,11 @@ class Cache:
         self.num_sets = size // (assoc * CACHELINE_SIZE)
         self._sets: List[Dict[int, CacheLine]] = [
             {} for _ in range(self.num_sets)]
+        #: Presence directory (line address -> holders' bits), shared
+        #: with the other caches of a hierarchy; ``bit`` is this cache's.
+        self.directory: Dict[int, int] = (
+            directory if directory is not None else {})
+        self.bit = bit
         stats = stats or StatGroup(name)
         self.stats = stats
         self.hits = stats.counter("hits", "lookups that hit")
@@ -122,12 +136,15 @@ class Cache:
         if len(cset) >= self.assoc:
             victim_addr = self.policy.victim(cset, now)
             victim = cset.pop(victim_addr)
+            self._forget(victim_addr)
             self.evictions.inc()
             if victim.dirty:
                 self.dirty_evictions.inc()
         line = CacheLine(line_addr, data, now)
         line.dirty = dirty
         cset[line_addr] = line
+        directory = self.directory
+        directory[line_addr] = directory.get(line_addr, 0) | self.bit
         self.policy.on_fill(line)
         return victim
 
@@ -137,8 +154,15 @@ class Cache:
         line_addr = addr & _LINE_MASK
         line = self._sets[(line_addr >> _LINE_SHIFT) % self.num_sets].pop(line_addr, None)
         if line is not None:
+            self._forget(line_addr)
             self.invalidations.inc()
         return line
+
+    def _forget(self, line_addr: int) -> None:
+        """Drop this cache's bit from ``line_addr``'s directory entry."""
+        held = self.directory.pop(line_addr) & ~self.bit
+        if held:
+            self.directory[line_addr] = held
 
     def clean(self, addr: int) -> Optional[bytes]:
         """CLWB semantics: clear the dirty bit, return data if it was dirty."""
@@ -161,6 +185,8 @@ class Cache:
     def clear(self) -> None:
         """Drop every line without writeback (test helper)."""
         for cset in self._sets:
+            for line_addr in cset:
+                self._forget(line_addr)
             cset.clear()
 
     def write_bytes(self, addr: int, data: bytes, now: int) -> bool:

@@ -15,6 +15,17 @@ Responsibilities:
 
 A simple write-invalidate policy keeps per-core L1s coherent: a store by
 one core invalidates the line in other cores' L1s.
+
+The caches share one *presence directory* (line address -> bitmask of
+the caches holding it: bit ``i`` for core ``i``'s L1, bit ``num_cores``
+for the L2), kept exact by :class:`~repro.cache.cache.Cache` itself.
+Every walk over several caches — the flush and invalidate boundary in
+front of CLWB, MCLAZY, in-DRAM and bulk copies, the peer-L1 snoops and
+invalidations, the functional reads — consults it first: a line no
+cache holds costs one dict probe, and otherwise only the holders are
+visited, the L1s before the L2 (an L1 copy is never older than the
+L2's).  A bulk copy's buffers are usually uncached, so this boundary
+is mostly probes.
 """
 
 from __future__ import annotations
@@ -22,8 +33,9 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.common import params
+from repro.common.errors import AlignmentError
 from repro.common.units import CACHELINE_SIZE, align_down
-from repro.cache.cache import _LINE_SHIFT, Cache
+from repro.cache.cache import Cache, CacheLine
 from repro.cache.prefetcher import StridePrefetcher
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketType
@@ -49,19 +61,26 @@ class CacheHierarchy:
         self.num_cores = num_cores
         self.send_to_memory = send_to_memory
         self.stats = stats
+        # Presence directory shared by all caches (see the module
+        # docstring); each cache owns one bit of the mask.
+        self._directory: Dict[int, int] = {}
         self.l1s = [Cache(f"l1_{i}", l1_size, l1_assoc,
-                          stats.group(f"l1_{i}")) for i in range(num_cores)]
-        self.l2 = Cache("l2", l2_size, l2_assoc, stats.group("l2"))
-        # Precomputed scan orders (hot: one full-hierarchy walk per line
-        # for CLWB/MCLAZY/bulk-copy flushes).  ``_caches`` is every cache
-        # once; ``_scan_order[core]`` starts at that core's L1, then the
-        # shared L2, then the peers — the same order the per-call list
-        # construction used to produce.
+                          stats.group(f"l1_{i}"),
+                          directory=self._directory, bit=1 << i)
+                    for i in range(num_cores)]
+        self.l2 = Cache("l2", l2_size, l2_assoc, stats.group("l2"),
+                        directory=self._directory, bit=1 << num_cores)
+        # Directory mask of every L1 but core's own (snoop targets).
+        self._peer_bits: List[int] = [
+            ((1 << num_cores) - 1) & ~(1 << core) for core in range(num_cores)]
+        # Every cache once, the L1s before the L2: an L1 copy is never
+        # older than the L2's (the L2 learns newer data only from an L1
+        # that gives the line up or writes it back), so the first
+        # holder, or the first dirty holder, in this order has the
+        # line's current data.  Write-invalidate keeps at most one L1
+        # copy dirty (the ConsistencyChecker's single-writer rule), so
+        # the order among the L1s does not matter.
         self._caches: List[Cache] = self.l1s + [self.l2]
-        self._scan_order: List[List[Cache]] = [
-            [self.l1s[core], self.l2]
-            + [l1 for i, l1 in enumerate(self.l1s) if i != core]
-            for core in range(num_cores)]
         self.prefetcher = StridePrefetcher(stats.group("prefetcher"),
                                            enabled=prefetch_enabled)
         # Per-core outstanding L1 misses (MSHR budget) + wait queues.
@@ -131,15 +150,17 @@ class CacheHierarchy:
         # MESI-style owner forward: if a peer L1 holds the line dirty,
         # its copy is the truth — any L2 copy is a stale RFO fill.
         # Migrate it into the shared L2 before consulting it.
-        for i, peer in enumerate(self.l1s):
-            if i == core:
-                continue
-            peer_line = peer.lookup(addr, self.sim.now, touch=False)
-            if peer_line is not None and peer_line.dirty:
-                self._install(self.l2, line_addr, bytes(peer_line.data),
-                              dirty=True)
-                peer_line.dirty = False
-                break
+        held = self._directory.get(line_addr, 0) & self._peer_bits[core]
+        if held:
+            for peer in self.l1s:
+                if not peer.bit & held:
+                    continue
+                peer_line = peer.lookup(addr, self.sim.now, touch=False)
+                if peer_line.dirty:
+                    self._install(self.l2, line_addr, bytes(peer_line.data),
+                                  dirty=True)
+                    peer_line.dirty = False
+                    break
 
         l2_line = self.l2.lookup(addr, self.sim.now)
         if l2_line is not None:
@@ -160,26 +181,25 @@ class CacheHierarchy:
 
         # Snoop peer L1s: a dirty copy there must be forwarded, not
         # re-fetched stale from memory.
-        for i, peer in enumerate(self.l1s):
-            if i == core:
-                continue
+        held = self._directory.get(line_addr, 0) & self._peer_bits[core]
+        if held:
+            # The lowest set bit is the first holder in core order.
+            peer = self.l1s[(held & -held).bit_length() - 1]
             peer_line = peer.lookup(addr, self.sim.now, touch=False)
-            if peer_line is not None:
-                data = bytes(peer_line.data)
-                self._install(self.l2, line_addr, data,
-                              dirty=peer_line.dirty)
-                peer_line.dirty = False
-                done = self.sim.now + params.L2_HIT_CYCLES + 10
-                value = data[offset:offset + size]
-                epoch = self._fill_epoch.get(line_addr, 0)
+            data = bytes(peer_line.data)
+            self._install(self.l2, line_addr, data, dirty=peer_line.dirty)
+            peer_line.dirty = False
+            done = self.sim.now + params.L2_HIT_CYCLES + 10
+            value = data[offset:offset + size]
+            epoch = self._fill_epoch.get(line_addr, 0)
 
-                def _forwarded(d=data, v=value, t=done) -> None:
-                    if self._fill_epoch.get(line_addr, 0) == epoch:
-                        self._install(l1, line_addr, d, dirty=False)
-                    on_complete(v, t)
+            def _forwarded(d=data, v=value, t=done) -> None:
+                if self._fill_epoch.get(line_addr, 0) == epoch:
+                    self._install(l1, line_addr, d, dirty=False)
+                on_complete(v, t)
 
-                self.sim.schedule_at(done, _forwarded, label="peer-forward")
-                return
+            self.sim.schedule_at(done, _forwarded, label="peer-forward")
+            return
 
         def _on_fill(data: bytes, finish: int) -> None:
             on_complete(data[offset:offset + size], finish)
@@ -280,7 +300,7 @@ class CacheHierarchy:
         """Non-temporal store: bypass the caches, no RFO (§V-B, Fig. 17)."""
         self._nt_stores.inc()
         line_addr = align_down(addr, CACHELINE_SIZE)
-        merged = bytearray(self._functional_line(core, line_addr))
+        merged = bytearray(self._functional_line(line_addr))
         offset = addr - line_addr
         merged[offset:offset + size] = data
         # A full-line NT store is all-fresh data; a partial one keeps
@@ -319,7 +339,7 @@ class CacheHierarchy:
             on_complete(finish)
 
         line_addr = align_down(addr, CACHELINE_SIZE)
-        data = self._clean_scan(self._scan_order[core], line_addr)
+        data = self._clean_scan(line_addr)
         if data is None:
             # Nothing dirty anywhere: the flush still probes the whole
             # hierarchy before completing.
@@ -354,7 +374,7 @@ class CacheHierarchy:
 
         dirty = 0
         for line in range(start, addr + size, CACHELINE_SIZE):
-            data = self._clean_scan(self._caches, line)
+            data = self._clean_scan(line)
             if data is None:
                 continue
             dirty += 1
@@ -384,7 +404,7 @@ class CacheHierarchy:
                                  "size": size})
         for line in range(align_down(src, CACHELINE_SIZE),
                           src + size, CACHELINE_SIZE):
-            data = self._clean_scan(self._caches, line)
+            data = self._clean_scan(line)
             if data is not None:
                 wb = Packet(PacketType.WRITE, line, CACHELINE_SIZE,
                             requestor=core)
@@ -417,7 +437,7 @@ class CacheHierarchy:
                                  "size": size, "mode": mode})
         for line in range(align_down(src, CACHELINE_SIZE),
                           src + size, CACHELINE_SIZE):
-            data = self._clean_scan(self._caches, line)
+            data = self._clean_scan(line)
             if data is not None:
                 wb = Packet(PacketType.WRITE, line, CACHELINE_SIZE,
                             requestor=core)
@@ -450,16 +470,21 @@ class CacheHierarchy:
         lines are invalidated (the copy overwrites them in memory).  Up
         to 32 lines are in flight at a time, modelling the microcoded
         copy loop's pipelining; completion fires when the last write is
-        accepted.
+        accepted.  Raises :class:`AlignmentError` unless ``dst``,
+        ``src`` and ``size`` are whole cachelines: a partial line would
+        be copied whole, past ``dst + size``.
         """
-        assert dst % CACHELINE_SIZE == 0 and src % CACHELINE_SIZE == 0 \
-            and size % CACHELINE_SIZE == 0, "bulk_copy is line-granular"
+        if dst % CACHELINE_SIZE or src % CACHELINE_SIZE \
+                or size % CACHELINE_SIZE:
+            raise AlignmentError(
+                f"bulk_copy requires cacheline-aligned dst/src/size, got "
+                f"dst={dst:#x} src={src:#x} size={size}")
         if self._trace is not None:
             self._trace.instant("cache", "caches", "bulk-copy",
                                 {"dst": hex(dst), "src": hex(src),
                                  "size": size})
         for line in range(src, src + size, CACHELINE_SIZE):
-            data = self._clean_scan(self._caches, line)
+            data = self._clean_scan(line)
             if data is not None:
                 wb = Packet(PacketType.WRITE, line, CACHELINE_SIZE)
                 wb.data = data
@@ -500,26 +525,31 @@ class CacheHierarchy:
         self._send(rd)
 
     # ----------------------------------------------------------- plumbing
-    def _all_caches(self) -> List[Cache]:
-        return self._caches
-
-    @staticmethod
-    def _clean_scan(caches: List[Cache], line_addr: int) -> Optional[bytes]:
+    def _clean_scan(self, line_addr: int) -> Optional[bytes]:
         """Clear ``line_addr``'s dirty bit in every cache; first dirty wins.
 
-        Equivalent to calling :meth:`Cache.clean` on each cache in order,
-        with the tag probe inlined: the CLWB/MCLAZY/bulk-copy paths run
-        this once per line over whole buffers, and the per-cache call
-        overhead dominated their profile.  ``line_addr`` must be aligned.
+        Calls :meth:`Cache.clean` on each holder, in ``_caches`` order,
+        and returns the data to write back.  That data then refreshes
+        every holder: a clean copy beside a dirty one is stale (say the
+        L2's RFO fill under a written L1 line), and once no dirty bit is
+        left nothing would tell it apart — a later L1 eviction would
+        expose it.  The CLWB/MCLAZY/bulk-copy paths run this once per
+        line over whole buffers, so a line no cache holds is answered by
+        the directory alone.  ``line_addr`` must be aligned.
         """
+        held = self._directory.get(line_addr)
+        if not held:
+            return None
+        holders = [cache for cache in self._caches if cache.bit & held]
         data: Optional[bytes] = None
-        for cache in caches:
-            line = cache._sets[(line_addr >> _LINE_SHIFT)
-                               % cache.num_sets].get(line_addr)
-            if line is not None and line.dirty:
-                line.dirty = False
-                if data is None:
-                    data = bytes(line.data)
+        for cache in holders:
+            dirty = cache.clean(line_addr)
+            if data is None:
+                data = dirty
+        if data is not None:
+            for cache in holders:
+                line = cache.lookup(line_addr, self.sim.now, touch=False)
+                line.data[:] = data
         return data
 
     def _invalidate_everywhere(self, line_addr: int) -> None:
@@ -530,13 +560,11 @@ class CacheHierarchy:
         longer installs, and later accesses start a fresh fetch that
         observes the new memory-side state (e.g. a CTT bounce).
         """
-        for cache in self._caches:
-            # Cache.invalidate inlined (one call per cache per line over
-            # whole buffers on the MCLAZY/bulk-copy paths).
-            line = cache._sets[(line_addr >> _LINE_SHIFT)
-                               % cache.num_sets].pop(line_addr, None)
-            if line is not None:
-                cache.invalidations.value += 1
+        held = self._directory.get(line_addr)
+        if held:
+            for cache in self._caches:
+                if cache.bit & held:
+                    cache.invalidate(line_addr)
         self._fill_epoch[line_addr] = self._fill_epoch.get(line_addr, 0) + 1
         self._inflight_fills.pop(line_addr, None)
         self.poisoned_lines.discard(line_addr)
@@ -546,23 +574,32 @@ class CacheHierarchy:
 
     def _invalidate_peers(self, core: int, line_addr: int) -> None:
         """Write-invalidate coherence: kill other cores' copies."""
-        for i, l1 in enumerate(self.l1s):
-            if i == core:
+        held = self._directory.get(line_addr, 0) & self._peer_bits[core]
+        if not held:
+            return
+        for l1 in self.l1s:
+            if not l1.bit & held:
                 continue
             victim = l1.invalidate(line_addr)
-            if victim is not None and victim.dirty:
+            if victim.dirty:
                 # Migrate dirty data into the shared L2 instead of losing it.
                 self._install(self.l2, line_addr, bytes(victim.data),
                               dirty=True)
 
-    def _functional_line(self, core: int, line_addr: int) -> bytes:
+    def _functional_line(self, line_addr: int) -> bytes:
         """Best-effort current value of a line from the caches (NT merge)."""
-        for cache in self._scan_order[core]:
-            line = cache._sets[(line_addr >> _LINE_SHIFT)
-                               % cache.num_sets].get(line_addr)
-            if line is not None:
-                return bytes(line.data)
-        return bytes(CACHELINE_SIZE)
+        line = self._first_holder(line_addr)
+        return bytes(CACHELINE_SIZE) if line is None else bytes(line.data)
+
+    def _first_holder(self, line_addr: int) -> Optional[CacheLine]:
+        """The line as held by the first cache (in ``_caches`` order)
+        holding it: the current cached data."""
+        held = self._directory.get(line_addr)
+        if held:
+            for cache in self._caches:
+                if cache.bit & held:
+                    return cache.lookup(line_addr, self.sim.now, touch=False)
+        return None
 
     def _install(self, cache: Cache, line_addr: int, data: bytes,
                  dirty: bool) -> None:
@@ -724,7 +761,7 @@ class CacheHierarchy:
     # -------------------------------------------------------------- tools
     def flush_all(self) -> None:
         """Write back and drop every line (used between experiment phases)."""
-        for cache in self._all_caches():
+        for cache in self._caches:
             for line in cache.dirty_lines():
                 wb = Packet(PacketType.WRITE, line.addr, CACHELINE_SIZE)
                 wb.data = bytes(line.data)
@@ -734,10 +771,8 @@ class CacheHierarchy:
     def read_functional(self, addr: int, size: int) -> Optional[bytes]:
         """Read bytes from the caches only (None when uncached)."""
         line_addr = align_down(addr, CACHELINE_SIZE)
-        for cache in self._all_caches():
-            line = cache._sets[(line_addr >> _LINE_SHIFT)
-                               % cache.num_sets].get(line_addr)
-            if line is not None:
-                offset = addr - line_addr
-                return bytes(line.data[offset:offset + size])
-        return None
+        line = self._first_holder(line_addr)
+        if line is None:
+            return None
+        offset = addr - line_addr
+        return bytes(line.data[offset:offset + size])

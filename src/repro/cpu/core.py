@@ -34,19 +34,28 @@ from repro.sim.stats import StatGroup
 
 Program = Generator[Op, Optional[bytes], None]
 
+# The per-op tables below are keyed by an op kind's ``_value_`` string,
+# not by the member: an Enum member hashes through a Python-level
+# ``Enum.__hash__`` call, a str through its cached hash.
+
 _ISSUE_COST = {
-    OpKind.LOAD: 1,
-    OpKind.STORE: 1,
-    OpKind.NT_STORE: params.NT_STORE_CYCLES,
-    OpKind.CLWB: params.CLWB_ISSUE_CYCLES,
-    OpKind.MCLAZY: params.MCLAZY_ISSUE_CYCLES,
-    OpKind.MCFREE: params.MCLAZY_ISSUE_CYCLES,
-    OpKind.INMEM_COPY: params.MCLAZY_ISSUE_CYCLES,
-    OpKind.MFENCE: 1,
-    OpKind.COMPUTE: 0,
-    OpKind.BULK_COPY: 1,
-    OpKind.CLWB_RANGE: 4,
+    OpKind.LOAD.value: 1,
+    OpKind.STORE.value: 1,
+    OpKind.NT_STORE.value: params.NT_STORE_CYCLES,
+    OpKind.CLWB.value: params.CLWB_ISSUE_CYCLES,
+    OpKind.MCLAZY.value: params.MCLAZY_ISSUE_CYCLES,
+    OpKind.MCFREE.value: params.MCLAZY_ISSUE_CYCLES,
+    OpKind.INMEM_COPY.value: params.MCLAZY_ISSUE_CYCLES,
+    OpKind.MFENCE.value: 1,
+    OpKind.COMPUTE.value: 0,
+    OpKind.BULK_COPY.value: 1,
+    OpKind.CLWB_RANGE.value: 4,
 }
+
+#: Op kinds that hold a store-buffer entry until they drain.
+_SB_KINDS = frozenset(kind.value for kind in (
+    OpKind.STORE, OpKind.NT_STORE, OpKind.CLWB, OpKind.CLWB_RANGE,
+    OpKind.MCLAZY, OpKind.MCFREE, OpKind.INMEM_COPY))
 
 
 class Core:
@@ -141,7 +150,7 @@ class Core:
         window = self._window
         rob = self.rob_entries
         sb_limit = self.store_buffer_entries
-        sb_kinds = self._SB_KINDS
+        sb_kinds = _SB_KINDS
         sim = self.sim
         while True:
             if self._awaiting is not None:
@@ -162,7 +171,7 @@ class Core:
                 self._maybe_finish()
                 return
             self._pending_op = op
-            if op.kind in sb_kinds and self._sb_used >= sb_limit:
+            if op.kind._value_ in sb_kinds and self._sb_used >= sb_limit:
                 self.sb_full_stalls.value += 1
                 self._note_stall()
                 return
@@ -247,20 +256,12 @@ class Core:
         _try()
 
     # -------------------------------------------------------------- issue
-    _SB_KINDS = frozenset((OpKind.STORE, OpKind.NT_STORE, OpKind.CLWB,
-                           OpKind.CLWB_RANGE, OpKind.MCLAZY, OpKind.MCFREE,
-                           OpKind.INMEM_COPY))
-
-    @staticmethod
-    def _needs_sb_slot(op: Op) -> bool:
-        return op.kind in Core._SB_KINDS
-
     def _issue(self, op: Op) -> None:
         now = self.sim.now
         op.issued_at = now
-        self._next_issue_at = now + _ISSUE_COST[op.kind]
-        self._window.append(op)
         kind = op.kind
+        self._next_issue_at = now + _ISSUE_COST[kind._value_]
+        self._window.append(op)
 
         if kind is OpKind.COMPUTE:
             self._next_issue_at = self.sim.now + op.cycles

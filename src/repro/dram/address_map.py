@@ -8,15 +8,18 @@ across banks-interleaved-by-row so that streaming accesses hit open rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.common.errors import ConfigError
 from repro.common.units import CACHELINE_SIZE
 
 
-@dataclass(frozen=True)
-class DramLocation:
-    """Decoded location of one cacheline inside the DRAM system."""
+class DramLocation(NamedTuple):
+    """Decoded location of one cacheline inside the DRAM system.
+
+    A named tuple: every DRAM access decodes one, and a tuple is cheap
+    to build while staying immutable and hashable.
+    """
 
     channel: int
     bank: int
@@ -62,4 +65,4 @@ class AddressMap:
         mixed ^= mixed >> 13
         bank = mixed % self.banks_per_channel
         row = row_index // self.banks_per_channel
-        return DramLocation(channel=channel, bank=bank, row=row, column=column)
+        return DramLocation(channel, bank, row, column)

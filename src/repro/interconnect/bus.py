@@ -30,15 +30,20 @@ from __future__ import annotations
 from typing import List
 
 from repro.common import params
+from repro.common.units import CACHELINE_SIZE
 from repro.memctrl.controller import MemoryController
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketType
 from repro.sim.stats import StatGroup
 
+# The per-packet tables below are keyed by a packet type's ``_value_``
+# string, not by the member: an Enum member hashes through a
+# Python-level ``Enum.__hash__`` call, a str through its cached hash.
+
 #: Event labels by packet type, prebuilt: send() runs once per packet and
 #: an f-string per delivery showed up in the exhibit profiles.
-_DELIVER_LABEL = {pt: f"xbar-{pt.value}" for pt in PacketType}
-_DUP_LABEL = {pt: f"xbar-dup-{pt.value}" for pt in PacketType}
+_DELIVER_LABEL = {pt.value: f"xbar-{pt.value}" for pt in PacketType}
+_DUP_LABEL = {pt.value: f"xbar-dup-{pt.value}" for pt in PacketType}
 
 #: Canonical same-cycle grant order.  Writebacks first (they must reach
 #: the MC before any control packet issued the same cycle observes the
@@ -46,12 +51,12 @@ _DUP_LABEL = {pt: f"xbar-dup-{pt.value}" for pt in PacketType}
 #: same-cycle writeback to the same line sees the written data — the
 #: FIFO-write-buffer semantics, made independent of callback order.
 _TYPE_RANK = {
-    PacketType.WRITE: 0,
-    PacketType.MCLAZY: 1,
-    PacketType.MCFREE: 2,
-    PacketType.CTT_UPDATE: 3,
-    PacketType.INMEM_COPY: 4,
-    PacketType.READ: 5,
+    PacketType.WRITE.value: 0,
+    PacketType.MCLAZY.value: 1,
+    PacketType.MCFREE.value: 2,
+    PacketType.CTT_UPDATE.value: 3,
+    PacketType.INMEM_COPY.value: 4,
+    PacketType.READ.value: 5,
 }
 
 
@@ -68,6 +73,11 @@ class Interconnect:
         self._packets = stats.counter("packets", "packets transported")
         self._broadcasts = stats.counter("broadcasts", "control broadcasts")
         self._last_delivery = 0
+        # Channel -> owning controller, so routing a packet is one
+        # index: AddressMap.channel_of (cacheline interleave), inlined.
+        self._num_channels = controllers[0].address_map.channels
+        self._owners = [controllers[channel % len(controllers)]
+                        for channel in range(self._num_channels)]
         # Same-cycle arbitration: packets sent during cycle N accumulate
         # here and are granted link slots by one late-phase event at N.
         self._batch: List[Packet] = []
@@ -102,7 +112,7 @@ class Interconnect:
 
     @staticmethod
     def _grant_key(pkt: Packet):
-        return (_TYPE_RANK[pkt.ptype], pkt.addr, pkt.requestor,
+        return (_TYPE_RANK[pkt.ptype._value_], pkt.addr, pkt.requestor,
                 pkt.is_bounce, pkt.is_prefetch)
 
     def _arbitrate(self) -> None:
@@ -148,14 +158,14 @@ class Interconnect:
 
         owner = self._owner(pkt.addr)
         self.sim.schedule_at(when, lambda: owner.receive(pkt),
-                             label=_DELIVER_LABEL[pkt.ptype])
+                             label=_DELIVER_LABEL[pkt.ptype._value_])
         if duplicate:
             # Link replay: the same packet arrives a second time, still in
             # order (the horizon advances past it).  READ/WRITE handling
             # is idempotent, so the replica only costs bandwidth.
             self._last_delivery = when + 1
             self.sim.schedule_at(when + 1, lambda: owner.receive(pkt),
-                                 label=_DUP_LABEL[pkt.ptype])
+                                 label=_DUP_LABEL[pkt.ptype._value_])
 
     def _deliver_inmem(self, pkt: Packet, when: int) -> None:
         self._broadcasts.inc()
@@ -168,7 +178,7 @@ class Interconnect:
             if state["left"] == 0:
                 pkt.complete(self.sim.now)
 
-        label = _DELIVER_LABEL[pkt.ptype]
+        label = _DELIVER_LABEL[pkt.ptype._value_]
         for slot, mc in enumerate(self.controllers):
             child = Packet(PacketType.INMEM_COPY, pkt.addr, pkt.size,
                            src_addr=pkt.src_addr, on_complete=_child_done,
@@ -179,5 +189,4 @@ class Interconnect:
                                  label=label)
 
     def _owner(self, addr: int) -> MemoryController:
-        channel = self.controllers[0].address_map.channel_of(addr)
-        return self.controllers[channel % len(self.controllers)]
+        return self._owners[addr // CACHELINE_SIZE % self._num_channels]

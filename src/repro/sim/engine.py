@@ -22,6 +22,13 @@ overflow timeouts, OS costs such as fork/page-fault latencies).
   future cycle — no per-event timestamp checks are needed on the ring.
   Slot lists are emptied with ``clear()`` and reused, so the steady
   state allocates nothing but the events themselves.
+* A ``bytearray`` *occupancy map* beside the ring holds 1 for every
+  non-empty slot: set when an append (or a far-list promotion) fills
+  an empty slot, cleared when the slot drains.  The run loops find the
+  next busy cycle with one ``bytearray.find`` over it (wrapping at
+  ``day_length``, capped at the far-list head and at ``until``)
+  instead of stepping through idle cycles one by one — a long
+  DRAM-bound run is mostly idle cycles.
 * ``schedule(delay >= day_length)`` pushes ``(when, key, event)`` onto
   the far heap (the PR 3 tuple layout, compared entirely in C).  When
   the drain reaches ``far[0]``'s cycle the events are *promoted* into
@@ -37,10 +44,11 @@ overflow timeouts, OS costs such as fork/page-fault latencies).
 Batched same-cycle dispatch
 ---------------------------
 
-``run()`` advances cycle by cycle and drains each cycle's slot as one
-tight cursor loop over the plain list — one Python-level iteration per
-event, no heap sift, no key tuple.  Same-cycle *phases* order dispatch
-within the slot: phase 0 for ordinary component events (completions,
+``run()`` jumps from busy cycle to busy cycle through the occupancy
+map and drains each cycle's slot as one tight cursor loop over the
+plain list — one Python-level iteration per event, no heap sift, no
+key tuple.  Same-cycle *phases* order dispatch within the slot:
+phase 0 for ordinary component events (completions,
 deliveries, timers), phase 1 for *component arbiters* that must observe
 every same-cycle phase-0 state change before deciding (the core's
 issue pump, store-order retry polls), phase 2 for *shared rendezvous*
@@ -260,6 +268,9 @@ class Simulator:
         # (see the module docstring), so no (when, ...) keys are stored;
         # within each phase the append order is the sequence order.
         self._ring: List[List[Event]] = [[] for _ in range(day)]
+        # Occupancy map: _busy[i] is 1 exactly when _ring[i] is non-empty
+        # (between drains), so the next busy slot is one find() away.
+        self._busy = bytearray(day)
         # Events >= one rotation out: (when, key, event) min-heap.
         self._far: List[Tuple[int, int, Event]] = []
         self._seq = 0
@@ -338,7 +349,11 @@ class Simulator:
         event.phase = phase
         event._sim = self
         if delay < self._day:
-            self._ring[when & self._mask].append(event)
+            slot = when & self._mask
+            lst = self._ring[slot]
+            if not lst:
+                self._busy[slot] = 1
+            lst.append(event)
             if not delay:
                 # Same-cycle: fires before the current drain finishes
                 # its slot unless its phase lets it ride the tail.
@@ -375,7 +390,11 @@ class Simulator:
         event.phase = phase
         event._sim = self
         if when - now < self._day:
-            self._ring[when & self._mask].append(event)
+            slot = when & self._mask
+            lst = self._ring[slot]
+            if not lst:
+                self._busy[slot] = 1
+            lst.append(event)
             if when == now:
                 maxp = self._drain_maxp
                 if phase < maxp or (phase == maxp
@@ -476,6 +495,7 @@ class Simulator:
         # branches, events_fired flushed once on the way out.
         ring = self._ring
         mask = self._mask
+        busy = self._busy
         far = self._far
         fired = 0
         c = self.now
@@ -484,8 +504,8 @@ class Simulator:
                 # ---- locate the next busy cycle c ----
                 if not far:
                     # Common case: nothing beyond the horizon, so every
-                    # queued event is in the ring and a scan hits one
-                    # within a rotation.
+                    # queued event is in the ring and the occupancy map
+                    # finds one within a rotation.
                     if self._seq == self._consumed:
                         # Idle: the queue is fully drained.
                         if until is not None and until > self.now:
@@ -493,18 +513,12 @@ class Simulator:
                         return self.now
                     lst = ring[c & mask]
                     if not lst:
-                        if until is None:
-                            while not lst:
-                                c += 1
-                                lst = ring[c & mask]
-                        else:
-                            while not lst and c < until:
-                                c += 1
-                                lst = ring[c & mask]
-                            if not lst:
-                                # Nothing left at or before the horizon.
-                                self.now = until
-                                return until
+                        c = self._next_busy(c, until)
+                        lst = ring[c & mask]
+                        if not lst:
+                            # Nothing left at or before the horizon.
+                            self.now = until
+                            return until
                     if until is not None and c > until:
                         self.now = until
                         return until
@@ -513,15 +527,14 @@ class Simulator:
                         if self._seq - self._consumed > len(far):
                             lst = ring[c & mask]
                             if not lst:
-                                # Scan empty per-cycle slots, capped at
-                                # the far head / until horizon.
+                                # Skip empty slots, capped at the far
+                                # head / until horizon.
                                 stop = far[0][0] if far else None
                                 if until is not None and (stop is None
                                                           or until < stop):
                                     stop = until
-                                while not lst and (stop is None or c < stop):
-                                    c += 1
-                                    lst = ring[c & mask]
+                                c = self._next_busy(c, stop)
+                                lst = ring[c & mask]
                         elif far:
                             c = far[0][0]
                             lst = ring[c & mask]
@@ -597,8 +610,11 @@ class Simulator:
                                 self._drain_maxp = rest[-1].phase
                 except BaseException:
                     del lst[:j]
+                    if not lst:
+                        busy[c & mask] = 0
                     raise
                 lst.clear()
+                busy[c & mask] = 0
                 if fired == cycle_fired:
                     # Every event this cycle was a tombstone: the clock
                     # never observably reached c.
@@ -616,6 +632,7 @@ class Simulator:
         """
         ring = self._ring
         mask = self._mask
+        busy = self._busy
         far = self._far
         clock = self._profile_clock
         costs = self._label_costs
@@ -631,17 +648,11 @@ class Simulator:
                         return self.now
                     lst = ring[c & mask]
                     if not lst:
-                        if until is None:
-                            while not lst:
-                                c += 1
-                                lst = ring[c & mask]
-                        else:
-                            while not lst and c < until:
-                                c += 1
-                                lst = ring[c & mask]
-                            if not lst:
-                                self.now = until
-                                return until
+                        c = self._next_busy(c, until)
+                        lst = ring[c & mask]
+                        if not lst:
+                            self.now = until
+                            return until
                     if until is not None and c > until:
                         self.now = until
                         return until
@@ -654,9 +665,8 @@ class Simulator:
                                 if until is not None and (stop is None
                                                           or until < stop):
                                     stop = until
-                                while not lst and (stop is None or c < stop):
-                                    c += 1
-                                    lst = ring[c & mask]
+                                c = self._next_busy(c, stop)
+                                lst = ring[c & mask]
                         elif far:
                             c = far[0][0]
                             lst = ring[c & mask]
@@ -743,20 +753,43 @@ class Simulator:
                                 self._drain_maxp = rest[-1].phase
                 except BaseException:
                     del lst[:j]
+                    if not lst:
+                        busy[c & mask] = 0
                     raise
                 lst.clear()
+                busy[c & mask] = 0
                 if fired == cycle_fired:
                     self.now = prev_now
                 c += 1
         finally:
             self._preempt = False
 
+    def _next_busy(self, c: int, stop: Optional[int]) -> int:
+        """The first cycle >= ``c`` whose ring slot is occupied.
+
+        Capped at ``stop`` (the far head or ``until``) when ``c`` is
+        below it, so the result may be an empty slot's cycle.  Every
+        ring event lies within one rotation of ``c``, so one wrapped
+        ``find`` over the occupancy map is a complete search; the
+        callers only ask while the ring holds at least one event.
+        """
+        busy = self._busy
+        start = c & self._mask
+        slot = busy.find(1, start)
+        if slot < 0:
+            slot = busy.find(1, 0, start) + self._day
+        c_busy = c + slot - start
+        if stop is not None and c_busy > stop:
+            return stop if stop > c else c
+        return c_busy
+
     def _promote(self, far: List[Tuple[int, int, Event]],
                  lst: List[Event]) -> None:
         """Move every far event due at the far head's cycle into ``lst``.
 
-        Appends in place (the slot list is never rebound) and re-sorts
-        the slot by sequence number so promoted events (older seqs)
+        ``lst`` is the ring slot of that cycle.  Appends in place (the
+        slot list is never rebound), marks the slot busy, and re-sorts
+        it by sequence number so promoted events (older seqs)
         interleave with ring events in FIFO order; a tie-break hook
         re-sorts at dispatch anyway.
         """
@@ -774,8 +807,10 @@ class Simulator:
                 continue
             event._in_far = False
             lst.append(event)
-        if len(lst) > 1:
-            lst.sort(key=_SEQ_KEY)
+        if lst:
+            self._busy[due & self._mask] = 1
+            if len(lst) > 1:
+                lst.sort(key=_SEQ_KEY)
 
     def _raise_livelock(self, max_events: int) -> None:
         message = f"exceeded {max_events} events; likely a livelock"
@@ -789,14 +824,14 @@ class Simulator:
         """Fire the single next pending event.  Returns False when idle."""
         ring = self._ring
         mask = self._mask
+        busy = self._busy
         far = self._far
         c = self.now
         while True:
             if self._seq - self._consumed > len(far):
                 lst = ring[c & mask]
-                stop = far[0][0] if far else None
-                while not lst and (stop is None or c < stop):
-                    c += 1
+                if not lst:
+                    c = self._next_busy(c, far[0][0] if far else None)
                     lst = ring[c & mask]
             elif far:
                 c = far[0][0]
@@ -814,6 +849,8 @@ class Simulator:
                 lst.sort(key=_PHASE_KEY if tie is None else _tie_key(tie))
             while lst:
                 event = lst.pop(0)
+                if not lst:
+                    busy[c & mask] = 0
                 self._consumed += 1
                 if event.cancelled:
                     self._cancelled -= 1

@@ -17,7 +17,7 @@ destination lines instead of laundering them as clean data.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import small_system
 from repro.common.units import CACHELINE_SIZE
@@ -112,6 +112,13 @@ def test_backend_matches_shadow(backend, steps):
 @pytest.mark.parametrize("backend", ("rowclone", "mirror"))
 @settings(max_examples=8, deadline=None)
 @given(steps=copy_programs())
+# A fallback copy dirties a line in L1 over a stale L2 fill; an in-DRAM
+# copy reading it cleans the L1 line, a later copy evicts it, and the
+# stale L2 copy used to become the visible value.
+@example(steps=[("copy", 11456, 3328, 3008), ("load", 0),
+                ("copy", 64, 12352, 64), ("load", 0),
+                ("copy", 0, 19264, 1344), ("store", 0, bytes(8)),
+                ("copy", 0, 3648, 1280), ("copy", 16320, 0, 2944)])
 def test_indram_backend_matches_shadow_ideal_layout(backend, steps):
     """The FPM-everywhere layout changes timing only, never bytes."""
     run_case(backend, steps, layout="ideal")

@@ -10,13 +10,20 @@ cancels, partial ``run(until)`` drains, and far-list-crossing delays —
 through both.  The (cycle, phase, label) dispatch sequences must be
 identical under every installed tie break: fifo (native), lifo, and
 the ``seeded:N`` Weyl hash used by ``REPRO_TIE_ORDER``.
+
+The scripts also single-step (``step()``), schedule exactly one cycle
+short of, at, and one past a full calendar rotation, and leave idle
+gaps longer than 64 cycles, so the run loops' jump to the next busy
+slot through the occupancy map is exercised across the far-list
+boundary and across wrap-around.  After every action the occupancy
+map must equal ``[bool(slot) for slot in ring]``.
 """
 
 import heapq
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.engine import _PHASE_STRIDE, Simulator
+from repro.sim.engine import _DEFAULT_DAY_LENGTH, _PHASE_STRIDE, Simulator
 
 _TIE_BREAKS = (
     ("fifo", None),
@@ -67,6 +74,18 @@ class _HeapScheduler:
         heapq.heappush(self._queue, (self.now + delay, key, seq, event))
         return event
 
+    def step(self):
+        queue = self._queue
+        while queue:
+            when, _key, _seq, event = heapq.heappop(queue)
+            if event.cancelled:
+                continue
+            event.fired = True
+            self.now = when
+            event.callback()
+            return True
+        return False
+
     def run(self, until=None):
         queue = self._queue
         while queue:
@@ -86,39 +105,65 @@ class _HeapScheduler:
         return self.now
 
 
+def _delays(near, day):
+    """Short delays, the rotation edges, and gaps past 64 idle cycles."""
+    return st.one_of(
+        st.integers(0, near),
+        st.sampled_from((max(day - 1, 0), day, day + 1)),
+        st.integers(65, 2 * day + 70))
+
+
 @st.composite
-def workloads(draw):
+def workloads(draw, day=16):
     """A script both schedulers replay identically.
 
     Top-level actions: schedule an event (with children its callback
     schedules and an optional handle its callback cancels), cancel a
-    handle from outside, or partially drain with ``run(until)``.
+    handle from outside, fire single events with ``step()``, or
+    partially drain with ``run(until)``.  ``day`` is the calendar's
+    rotation, so delays straddle its far-list boundary.
     """
     actions = []
-    scheduled = 0
     for _ in range(draw(st.integers(2, 40))):
         kind = draw(st.sampled_from(
-            ("schedule", "schedule", "schedule", "cancel", "run_until")))
+            ("schedule", "schedule", "schedule", "cancel", "step",
+             "run_until")))
         if kind == "schedule":
             children = draw(st.lists(
-                st.tuples(st.integers(0, 40),
+                st.tuples(_delays(40, day),
                           st.sampled_from((0, 0, 0, 1, 2))),
                 max_size=3))
             cancel_target = draw(st.one_of(
                 st.none(), st.integers(0, 200)))
-            actions.append(("schedule", draw(st.integers(0, 90)),
+            actions.append(("schedule", draw(_delays(90, day)),
                             draw(st.sampled_from((0, 0, 0, 1, 2))),
                             children, cancel_target))
-            scheduled += 1
         elif kind == "cancel":
             actions.append(("cancel", draw(st.integers(0, 200))))
+        elif kind == "step":
+            actions.append(("step", draw(st.integers(1, 3))))
         else:
-            actions.append(("run_until", draw(st.integers(0, 50))))
+            actions.append(("run_until", draw(_delays(50, day))))
     return actions
 
 
-def _replay(sched, actions):
-    """Run ``actions`` against ``sched``; return the dispatch log."""
+@st.composite
+def calendar_cases(draw):
+    """(day_length argument, script sized to that rotation)."""
+    day_length = draw(st.sampled_from((1, 4, 16, None)))
+    day = _DEFAULT_DAY_LENGTH if day_length is None else day_length
+    return day_length, draw(workloads(day))
+
+
+def _occupancy_matches_ring(sim):
+    assert sim._busy == bytearray(bool(slot) for slot in sim._ring)
+
+
+def _replay(sched, actions, check=None):
+    """Run ``actions`` against ``sched``; return the dispatch log.
+
+    ``check(sched)``, when given, runs after every action and at the end.
+    """
     log = []
     handles = []
 
@@ -143,29 +188,36 @@ def _replay(sched, actions):
                 label, phase))
         elif action[0] == "cancel" and handles:
             handles[action[1] % len(handles)].cancel()
+        elif action[0] == "step":
+            for _ in range(action[1]):
+                log.append(("step", sched.step(), sched.now))
         elif action[0] == "run_until":
             sched.run(until=sched.now + action[1])
+        if check is not None:
+            check(sched)
     sched.run()
+    if check is not None:
+        check(sched)
     return log
 
 
 @settings(max_examples=120, deadline=None)
-@given(workloads(), st.sampled_from((1, 4, 16, None)),
-       st.sampled_from(range(len(_TIE_BREAKS))))
-def test_calendar_queue_matches_heap_oracle(actions, day_length, tie_index):
+@given(calendar_cases(), st.sampled_from(range(len(_TIE_BREAKS))))
+def test_calendar_queue_matches_heap_oracle(case, tie_index):
     """Identical (cycle, phase, label) sequences, any tie break."""
+    day_length, actions = case
     name, tie = _TIE_BREAKS[tie_index]
     expected = _replay(_HeapScheduler(tie_break=tie), actions)
     actual = _replay(Simulator(tie_break=tie, day_length=day_length),
-                     actions)
+                     actions, check=_occupancy_matches_ring)
     assert actual == expected, (
         f"dispatch order diverged from heap oracle under {name} "
         f"(day_length={day_length})")
 
 
 @settings(max_examples=40, deadline=None)
-@given(workloads())
+@given(workloads(_DEFAULT_DAY_LENGTH))
 def test_fifo_matches_native_default(actions):
     """fifo (tie=None) and the default construction agree."""
-    assert (_replay(Simulator(), actions)
+    assert (_replay(Simulator(), actions, check=_occupancy_matches_ring)
             == _replay(_HeapScheduler(), actions))

@@ -4,6 +4,7 @@ import pytest
 
 from repro import System, small_system
 from repro.common import params
+from repro.common.errors import AlignmentError
 from repro.isa import ops
 
 CL = 64
@@ -96,6 +97,57 @@ class TestCoherence:
         system.run_program(writer(), core=0)
         assert not system.hierarchy.l1s[1].probe(addr)
 
+    def test_partial_nt_store_merges_peer_dirty_line(self):
+        # Core 0's written line sits dirty in its L1 over a stale RFO
+        # fill in the L2; core 1's partial NT store must merge core 0's
+        # bytes, not the L2's.
+        system = build()
+        addr = system.alloc(4096)
+
+        def writer():
+            yield ops.store(addr, 8, data=b"CORE0NEW")
+            yield ops.mfence()
+
+        def streamer():
+            yield ops.nt_store(addr + 8, 8, data=b"CORE1NT!")
+            yield ops.mfence()
+
+        system.run_program(writer(), core=0)
+        system.run_program(streamer(), core=1)
+        system.drain()
+        assert system.read_memory(addr, 16) == b"CORE0NEWCORE1NT!"
+
+    def test_cross_core_clwb_writes_back_the_newest_copy(self):
+        # Core 1 writes the line and evicts it (dirty) into the L2;
+        # core 0 writes it again.  A CLWB from core 2 must write back
+        # core 0's L1 copy, not the older dirty L2 copy.
+        system = build(num_cpus=3)
+        l1 = system.hierarchy.l1s[1]
+        stride = l1.num_sets * CL
+        addr = system.alloc((l1.assoc + 2) * stride, align=stride)
+
+        def first_writer():
+            yield ops.store(addr, 8, data=b"OLDDATA!")
+            for i in range(1, l1.assoc + 2):  # same set: evicts addr
+                yield ops.load(addr + i * stride, 8, blocking=True)
+            yield ops.mfence()
+
+        def second_writer():
+            yield ops.store(addr, 8, data=b"NEWDATA!")
+            yield ops.mfence()
+
+        def flusher():
+            yield ops.clwb(addr)
+            yield ops.mfence()
+
+        system.run_program(first_writer(), core=1)
+        assert not l1.probe(addr)
+        system.run_program(second_writer(), core=0)
+        system.run_program(flusher(), core=2)
+        system.drain()
+        assert system.backing.read(addr, 8) == b"NEWDATA!"
+        assert system.read_memory(addr, 8) == b"NEWDATA!"
+
 
 class TestWritebackPath:
     def test_dirty_eviction_reaches_memory(self):
@@ -145,6 +197,26 @@ class TestClwb:
         assert system.backing.read(addr, 8) == b"CLWBDATA"
         line = system.hierarchy.l1s[0].lookup(addr, 0, touch=False)
         assert line is not None and not line.dirty
+
+    def test_clwb_refreshes_the_stale_l2_copy(self):
+        # The store's RFO fill leaves a clean pre-store copy in the L2.
+        # Once CLWB cleans the L1 line, a peer's load that misses its
+        # own L1 must not be served that stale L2 copy.
+        system = build()
+        addr = system.alloc(4096)
+        got = {}
+
+        def writer():
+            yield ops.store(addr, 8, data=b"CLWBDATA")
+            yield ops.clwb(addr)
+            yield ops.mfence()
+
+        def reader():
+            got["v"] = (yield ops.load(addr, 8, blocking=True))
+
+        system.run_program(writer(), core=0)
+        system.run_program(reader(), core=1)
+        assert got["v"] == b"CLWBDATA"
 
     def test_clwb_parallelism_limit_serializes_long_trains(self):
         def run(n_lines):
@@ -234,3 +306,21 @@ class TestBulkCopy:
 
         system.run_program(prog())
         assert got["v"] == b"\x99" * 8
+
+    @pytest.mark.parametrize("dst_off, src_off, size", [
+        (8, 0, 4096), (0, 8, 4096), (0, 0, 4096 - 8)])
+    def test_misaligned_bulk_copy_raises_alignment_error(self, dst_off,
+                                                        src_off, size):
+        # A raise, not an assert: ``python -O`` strips asserts, and a
+        # partial line would then be copied whole, past dst + size.
+        system = build()
+        src = system.alloc(8192, align=4096)
+        dst = system.alloc(8192, align=4096)
+        system.backing.fill(src, 8192, 0x3A)
+
+        def prog():
+            yield ops.bulk_copy(dst + dst_off, src + src_off, size)
+
+        with pytest.raises(AlignmentError, match="cacheline-aligned"):
+            system.run_program(prog())
+        assert system.read_memory(dst, 8192) == bytes(8192)
