@@ -780,7 +780,7 @@ class Simulator:
             slot = busy.find(1, 0, start) + self._day
         c_busy = c + slot - start
         if stop is not None and c_busy > stop:
-            return stop if stop > c else c
+            return max(c, stop)
         return c_busy
 
     def _promote(self, far: List[Tuple[int, int, Event]],
