@@ -37,11 +37,11 @@ perf-baseline:
 analyze:
 	$(PYTHON) -m repro.analysis src/repro
 
-# Fork-safety / cache-soundness / stale-noqa families only; the planted
-# sanitizer and race-order fixtures are excluded because they violate
-# the rules on purpose.
+# Fork-safety / stale-noqa families only; the planted sanitizer and
+# race-order fixtures are excluded because they violate the rules on
+# purpose.
 analyze-tests:
-	$(PYTHON) -m repro.analysis tests benchmarks --select MC2401,MC2402,MC2403,MC2404,MC2501,MC2502,MC2503,MC2901 --exclude tests/unit/simsan_plants.py --exclude tests/unit/raceorder_plants.py
+	$(PYTHON) -m repro.analysis tests benchmarks --select MC2401,MC2402,MC2403,MC2404,MC2901 --exclude tests/unit/simsan_plants.py --exclude tests/unit/raceorder_plants.py
 
 # Exit non-zero only on findings not in analysis-baseline.json.
 analyze-diff:

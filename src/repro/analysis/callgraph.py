@@ -1,16 +1,16 @@
 """Shared whole-program call-graph IR for interprocedural rules.
 
-PR 2's poison-taint pass (MC2301) carried its own ad-hoc function
-walker and bare-name call map; the fork-safety (MC24xx) and
-cache-soundness (MC25xx) families need the same machinery, so it lives
-here once.  The IR is deliberately lightweight — no types, no dataflow
-lattice — because the simulator codebase's uniform method-call style
-makes conservative name matching precise enough in practice:
+The poison-taint pass (MC2301), the fork-safety (MC24xx) family and
+the same-cycle race rules (MC26xx) all need a function walker and a
+call map, so it lives here once.  The IR is deliberately lightweight
+— no types, no dataflow lattice — because the simulator codebase's
+uniform method-call style makes conservative name matching precise
+enough in practice:
 
 * every function/method in the analyzed modules becomes a
   :class:`FunctionNode` carrying syntactic **facts** (module-global
-  writes, ambient environment reads, global-RNG use, ``open()`` calls,
-  mutable-global reads) collected in one AST walk;
+  writes, ambient environment reads, global-RNG use, instance-state
+  accesses, scheduling sites) collected in one AST walk;
 * call sites resolve in priority order — same-module functions, names
   imported ``from X import f``, module attributes ``mod.f`` (via the
   import map), class constructors (``Cls()`` edges to
@@ -44,7 +44,7 @@ MUTABLE_FACTORIES = {"list", "dict", "set", "bytearray", "deque",
                      "cycle", "chain", "iter"}
 
 #: ``random.<fn>`` calls that consume the process-global RNG stream
-#: (kept in sync with the MC2002 module rule).
+#: (MC2002 in a module, MC2402 on a worker path).
 GLOBAL_RANDOM_FNS = {
     "random", "randint", "randrange", "choice", "choices", "shuffle",
     "sample", "uniform", "gauss", "normalvariate", "betavariate",
@@ -107,10 +107,8 @@ class FunctionNode:
 
     # Facts (node lists so rules can anchor findings precisely).
     global_writes: Dict[str, List[ast.AST]] = field(default_factory=dict)
-    global_reads: Dict[str, List[ast.AST]] = field(default_factory=dict)
     env_reads: List[ast.AST] = field(default_factory=list)
     rng_calls: List[ast.AST] = field(default_factory=list)
-    open_calls: List[ast.AST] = field(default_factory=list)
 
     # Instance-state facts for the same-cycle race rules (MC26xx):
     # accesses through the literal ``self`` receiver, keyed by attribute
@@ -129,9 +127,6 @@ class FunctionNode:
     def is_nested(self) -> bool:
         """Defined inside another function (a closure when dispatched)."""
         return bool(self.parent)
-
-    def callee_names(self) -> Set[str]:
-        return {site.bare for site in self.calls}
 
 
 def module_mutable_globals(module: Module) -> Set[str]:
@@ -340,10 +335,6 @@ def _collect_facts(fn: FunctionNode, imports: Dict[str, str],
                     and func.value.value.id == "self"):
                 fn.attr_writes.setdefault(func.value.attr, []).append(
                     (node, ATTR_MUTATE))
-            # open() on a fn/cached path.
-            if isinstance(func, ast.Name) and func.id == "open" \
-                    and "open" not in shadowed:
-                fn.open_calls.append(node)
             # next(counter) advances a module-global iterator in place.
             if (isinstance(func, ast.Name) and func.id == "next"
                     and node.args
@@ -412,9 +403,6 @@ def _collect_facts(fn: FunctionNode, imports: Dict[str, str],
                         and refers_to_global(target.value.id)):
                     fn.global_writes.setdefault(
                         target.value.id, []).append(node)
-        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-                and node.id in mutable_globals and node.id not in shadowed):
-            fn.global_reads.setdefault(node.id, []).append(node)
 
 
 def walk_body(fn_node: ast.AST) -> Iterable[ast.AST]:
@@ -472,7 +460,6 @@ class CallGraph:
         #: class qualname -> base-class bare names (for role inheritance)
         self.class_bases: Dict[str, List[str]] = {}
         self.imports: Dict[str, Dict[str, str]] = {}   # module path -> import map
-        self.mutable_globals: Dict[str, Set[str]] = {}  # module path -> names
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -498,7 +485,6 @@ class CallGraph:
         imports = module_imports(module.tree)
         mutable = module_mutable_globals(module)
         self.imports[module.path] = imports
-        self.mutable_globals[module.path] = mutable
 
         def walk(body, prefix: str, class_name: str, parent_fn: str) -> None:
             for node in body:

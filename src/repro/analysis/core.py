@@ -13,8 +13,8 @@ Two rule flavours exist:
 * **project rules** implement :meth:`Rule.check_project` and see every
   parsed module together through a
   :class:`~repro.analysis.callgraph.ProjectContext` (interprocedural
-  passes such as the poison-taint walk and the fork-safety and
-  cache-soundness families, which share the context's call graph and
+  passes such as the poison-taint walk, the fork-safety family and
+  the same-cycle race rules, which share the context's call graph and
   ``SimPoint`` worker-reachability closure).
 """
 

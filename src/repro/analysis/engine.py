@@ -98,15 +98,18 @@ def _stale_suppressions(modules: List[Module],
                         tables: Dict[str, Dict[int, frozenset]],
                         findings: List[Finding],
                         ran_codes: set,
+                        registered: set,
                         full_run: bool) -> List[Finding]:
     """MC2901: ``# noqa`` markers that suppress nothing on their line.
 
-    Select-aware: a coded marker is stale only when every listed
+    A coded marker naming an analyzer code that no rule registers
+    (``MC2000``, the parse-failure code, aside) can never suppress
+    anything and is always flagged.  Otherwise the check is
+    select-aware: a coded marker is stale only when every listed
     analyzer code actually ran this pass and none fired on the line;
-    codes of other tools (``F401`` …) or unknown/un-run codes make the
-    marker indeterminate and it is left alone.  A bare marker is stale
-    only on a full-rule-set run with no finding of any kind on its
-    line.
+    codes of other tools (``F401`` …) or un-run codes make the marker
+    indeterminate and it is left alone.  A bare marker is stale only on
+    a full-rule-set run with no finding of any kind on its line.
     """
     from repro.analysis.rules.hygiene import MC_CODE_RE
 
@@ -131,6 +134,14 @@ def _stale_suppressions(modules: List[Module],
                         path=module.path, line=line, col=col, snippet=text))
                 continue
             mc_codes = {c for c in codes if MC_CODE_RE.match(c)}
+            unknown = mc_codes - registered - {"MC2000"}
+            if unknown:
+                out.append(Finding(
+                    rule="MC2901",
+                    message=f"'# noqa: {', '.join(sorted(unknown))}' names "
+                            f"no analyzer rule; delete or correct the code",
+                    path=module.path, line=line, col=col, snippet=text))
+                mc_codes -= unknown
             if not mc_codes or not mc_codes <= ran_codes:
                 continue
             if not mc_codes & hits:
@@ -185,9 +196,10 @@ def run(paths: Sequence[str], baseline_path: Optional[str] = None,
     files = collect_files(paths, exclude=exclude)
     modules = parse_modules(files)
     rules = all_rules()
+    registered = {r.code for r in rules}
     if select:
         wanted = {code.upper() for code in select}
-        unknown = wanted - {r.code for r in rules}
+        unknown = wanted - registered
         if unknown:
             raise ConfigError(
                 f"unknown rule code(s): {', '.join(sorted(unknown))}")
@@ -237,7 +249,7 @@ def run(paths: Sequence[str], baseline_path: Optional[str] = None,
         stale = _stale_suppressions(
             parsed, tables, findings,
             ran_codes={r.code for r in rules} - {"MC2901"},
-            full_run=select is None)
+            registered=registered, full_run=select is None)
         entry = stats["MC2901"]
         entry["seconds"] += time.perf_counter() - start  # noqa: MC2001
         entry["findings"] += len(stale)

@@ -1,5 +1,4 @@
 """Rule modules self-register with the core registry on import."""
 
-from repro.analysis.rules import (cachesoundness, determinism,  # noqa: F401
-                                  eventsafety, forksafety, hygiene,
-                                  raceorder, taint)
+from repro.analysis.rules import (determinism, eventsafety,  # noqa: F401
+                                  forksafety, hygiene, raceorder, taint)

@@ -1,18 +1,18 @@
-"""Determinism rules (MC2001-MC2005).
+"""Determinism rules (MC2001-MC2003).
 
 A cycle-accurate simulation must produce bit-identical results for a
 given seed: the paper's bounce/materialize/BPQ claims are validated by
 differential oracles that diff lazy against eager runs, and any hidden
 source of run-to-run variation (wall-clock time, the process-global RNG,
-unordered container iteration, float round-off in cycle math, mutable
-default arguments aliased across instances) silently invalidates them.
+unordered container iteration) silently invalidates them.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Set, Tuple
+from typing import Iterator, List
 
+from repro.analysis.callgraph import GLOBAL_RANDOM_FNS
 from repro.analysis.core import (Finding, Module, Rule, ScopedVisitor,
                                  dotted_name, module_imports, register)
 
@@ -21,13 +21,6 @@ _WALLCLOCK = {
     "time": {"time", "time_ns", "perf_counter", "perf_counter_ns",
              "monotonic", "monotonic_ns", "process_time", "clock"},
     "datetime": {"now", "utcnow", "today"},
-}
-
-#: ``random.<fn>`` calls that consume the process-global RNG stream.
-_GLOBAL_RANDOM = {
-    "random", "randint", "randrange", "choice", "choices", "shuffle",
-    "sample", "uniform", "gauss", "normalvariate", "betavariate",
-    "expovariate", "getrandbits", "seed",
 }
 
 
@@ -104,7 +97,7 @@ class GlobalRandomRule(Rule):
                     if (isinstance(root_node, ast.Name)
                             and imports.get(root_node.id) == "random"
                             and not self.is_shadowed(root_node.id)):
-                        if func.attr in _GLOBAL_RANDOM:
+                        if func.attr in GLOBAL_RANDOM_FNS:
                             findings.append(rule.finding(
                                 module, node,
                                 f"process-global random.{func.attr}(); "
@@ -171,86 +164,3 @@ class UnorderedIterationRule(Rule):
                 for gen in node.generators:
                     check_iter(node, gen.iter)
         return iter(findings)
-
-
-@register
-class FloatEqualityRule(Rule):
-    """MC2004: no float equality in cycle arithmetic."""
-
-    code = "MC2004"
-    name = "float-equality"
-    summary = "== / != on float-valued expressions is round-off fragile"
-    rationale = ("Cycle math must stay integral; the instant a latency is "
-                 "divided, equality comparisons become round-off lotteries "
-                 "that can flip an arbitration decision between hosts. "
-                 "Compare integers, or use explicit tolerances.")
-
-    def _is_floaty(self, node: ast.AST) -> bool:
-        if isinstance(node, ast.Constant) and isinstance(node.value, float):
-            return True
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.Div):
-                return True
-            return self._is_floaty(node.left) or self._is_floaty(node.right)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            return node.func.id == "float"
-        if isinstance(node, ast.UnaryOp):
-            return self._is_floaty(node.operand)
-        return False
-
-    def check_module(self, module: Module) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            operands = [node.left] + list(node.comparators)
-            for op, (lhs, rhs) in zip(node.ops,
-                                      zip(operands, operands[1:])):
-                if not isinstance(op, (ast.Eq, ast.NotEq)):
-                    continue
-                if self._is_floaty(lhs) or self._is_floaty(rhs):
-                    yield self.finding(
-                        module, node,
-                        "float equality comparison; compare integers or "
-                        "use an explicit tolerance")
-
-
-#: Call names whose results are freshly-allocated mutables.
-_MUTABLE_FACTORIES = {"list", "dict", "set", "bytearray", "deque",
-                      "defaultdict", "OrderedDict", "Counter"}
-
-
-@register
-class MutableDefaultRule(Rule):
-    """MC2005: no mutable default arguments."""
-
-    code = "MC2005"
-    name = "mutable-default"
-    summary = "mutable defaults alias state across calls and instances"
-    rationale = ("A list/dict/set default is created once at def time: two "
-                 "SimObjects sharing one accidental default queue is a "
-                 "classic cross-run heisenbug. Default to None and "
-                 "allocate inside the body.")
-
-    def _is_mutable(self, node: ast.AST) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                             ast.DictComp, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            return node.func.id in _MUTABLE_FACTORIES
-        return False
-
-    def check_module(self, module: Module) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.Lambda)):
-                continue
-            args = node.args
-            defaults = list(args.defaults) + [
-                d for d in args.kw_defaults if d is not None]
-            for default in defaults:
-                if self._is_mutable(default):
-                    label = getattr(node, "name", "<lambda>")
-                    yield self.finding(
-                        module, default,
-                        f"mutable default argument on {label}(); use None "
-                        f"and allocate per call")

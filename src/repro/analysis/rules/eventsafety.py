@@ -1,10 +1,10 @@
-"""Event-safety rules (MC2101-MC2104).
+"""Event-safety rules (MC2102-MC2104).
 
 The discrete-event engine (:mod:`repro.sim.engine`) owns the only clock;
-components interact with it under a narrow contract: never schedule into
-the past, account state through the shared :class:`StatGroup` tree, and
-fail loudly through the :mod:`repro.common.errors` hierarchy so the
+components account state through the shared :class:`StatGroup` tree
+and fail loudly through the :mod:`repro.common.errors` hierarchy, so the
 watchdog and oracles can tell a modelled fault from a simulator bug.
+(The engine itself raises on scheduling into the past.)
 """
 
 from __future__ import annotations
@@ -14,56 +14,6 @@ from typing import Iterator, Optional
 
 from repro.analysis.core import (Finding, Module, Rule,
                                  module_imports, register)
-
-
-def _negative_const(node: ast.AST) -> bool:
-    return (isinstance(node, ast.UnaryOp)
-            and isinstance(node.op, ast.USub)
-            and isinstance(node.operand, ast.Constant)
-            and isinstance(node.operand.value, (int, float))
-            and node.operand.value > 0)
-
-
-def _now_minus_positive(node: ast.AST) -> bool:
-    """Matches ``<...>.now - <positive constant>`` expressions."""
-    return (isinstance(node, ast.BinOp)
-            and isinstance(node.op, ast.Sub)
-            and isinstance(node.left, ast.Attribute)
-            and node.left.attr == "now"
-            and isinstance(node.right, ast.Constant)
-            and isinstance(node.right.value, (int, float))
-            and node.right.value > 0)
-
-
-@register
-class SchedulePastRule(Rule):
-    """MC2101: event callbacks must not schedule at t < now."""
-
-    code = "MC2101"
-    name = "schedule-in-past"
-    summary = "scheduling before the current cycle corrupts event order"
-    rationale = ("The engine pops events in (when, seq) order; an event "
-                 "landing behind `now` either raises at runtime or, worse, "
-                 "fires out of order relative to already-popped work. "
-                 "Negative delays and `now - k` timestamps are always bugs.")
-
-    def check_module(self, module: Module) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)):
-                continue
-            if not node.args:
-                continue
-            first = node.args[0]
-            if node.func.attr == "schedule" and _negative_const(first):
-                yield self.finding(
-                    module, node,
-                    "schedule() with a negative delay fires in the past")
-            elif node.func.attr == "schedule_at" and (
-                    _negative_const(first) or _now_minus_positive(first)):
-                yield self.finding(
-                    module, node,
-                    "schedule_at() earlier than the current cycle")
 
 
 @register

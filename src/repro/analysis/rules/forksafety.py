@@ -30,9 +30,8 @@ from repro.analysis.core import Finding, Module, Rule, register
 
 #: Package prefixes whose facts are never attributed to worker paths:
 #: ``repro.perf`` is the dispatch/caching orchestration layer itself
-#: (parent-side env reads, idempotent memo writes, the cache's own file
-#: IO), ``repro.resilience`` is its supervision layer (journal/report
-#: file IO and deadline env knobs, all parent-side), and
+#: (parent-side env reads, idempotent memo writes), ``repro.resilience``
+#: is its supervision layer (parent-side deadline env knobs), and
 #: ``repro.analysis`` is host-side tooling (figure assembly and this
 #: linter) that builds sweeps but is never dispatched into one.  All
 #: stay covered dynamically by the simsan runtime sanitizer.

@@ -13,10 +13,13 @@ rule.
 
 Semantics (select-aware, so partial runs never cry wolf):
 
-* a **coded** ``# noqa: MC2xxx[, ...]`` is stale when every listed
-  analyzer code was actually run this pass and none of them produced a
-  finding on that line; codes belonging to other tools (``F401``,
-  ``E501`` …) are ignored entirely;
+* a **coded** ``# noqa: MC2xxx[, ...]`` naming a code no rule registers
+  (a typo, or a retired rule) is always flagged — it can never suppress
+  anything; ``MC2000``, the parse-failure code, is exempt;
+* otherwise a coded marker is stale when every listed analyzer code was
+  actually run this pass and none of them produced a finding on that
+  line; codes belonging to other tools (``F401``, ``E501`` …) are
+  ignored entirely;
 * a **bare** ``# noqa`` is stale when the full rule set ran and no
   finding of any kind anchored to the line — under ``--select`` a bare
   suppression is indeterminate and left alone.

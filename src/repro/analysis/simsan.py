@@ -1,24 +1,24 @@
 """simsan — runtime sanitizer for the parallel sweep runner.
 
-The fork-safety (MC24xx) and cache-soundness (MC25xx) rules prove sweep
-purity *statically*, on the worker-reachability closure of the shared
-call graph.  simsan is the matching *dynamic* oracle: with
-``REPRO_SIMSAN=1`` the sweep runner (:mod:`repro.perf.runner`) and the
-result cache (:mod:`repro.perf.cache`) route through the hooks below,
-which
+The fork-safety rules (MC24xx) prove sweep purity *statically*, on the
+worker-reachability closure of the shared call graph.  simsan is the
+matching *dynamic* oracle, and the only check on result-cache
+soundness: with ``REPRO_SIMSAN=1`` the sweep runner
+(:mod:`repro.perf.runner`) and the result cache (:mod:`repro.perf.cache`)
+route through the hooks below, which
 
 * snapshot the module-level globals of every loaded ``repro.*`` module
   around each dispatched point and flag any mutation — the runtime
   analogue of MC2401 (a forked worker mutating its copy-on-write image
   diverges silently from the serial run);
 * audit every Nth cache hit (``REPRO_SIMSAN_PERIOD``, default 8) by
-  recomputing the point and comparing against the stored value — the
-  runtime analogue of MC2501 (a parameter influencing the result but
-  missing from the cache key makes stale hits indistinguishable from
-  fresh runs);
+  recomputing the point and comparing against the stored value (an
+  input influencing the result but missing from the cache key makes
+  stale hits indistinguishable from fresh runs);
 * harden the cache itself: a structurally corrupt store entry or a
-  value failing the JSON round-trip contract (MC2502's analogue) is
-  reported instead of silently degraded to a miss.
+  value failing the JSON round-trip contract (a tuple comes back a
+  list; a set never caches) is reported instead of silently degraded
+  to a miss.
 
 A fourth hook has its own switch: ``REPRO_TIE_ORDER`` (see the
 tie-order section below) perturbs the engine's equal-cycle event
@@ -216,13 +216,13 @@ def audit_hit(name: str, key: str, cached: Any,
         report("cache-audit",
                f"recomputed value for {name} is no longer "
                f"JSON-representable ({exc}) although key {key[:12]}… holds "
-               f"a cached result (static rule: MC2502)")
+               f"a cached result")
         return
     if fresh != cached:
         report("cache-audit",
                f"cache hit for {name} (key {key[:12]}…) differs from a "
                f"fresh recompute; some input that influences the result "
-               f"is missing from the cache key (static rule: MC2501)")
+               f"is missing from the cache key")
 
 
 def check_payload(path: str, payload: Any) -> None:
@@ -239,7 +239,7 @@ def report_unroundtrippable(fn_name: str, reason: str) -> None:
     report("json-round-trip",
            f"result of {fn_name} violates the JSON round-trip contract "
            f"({reason}); it cannot be cached bit-identically — return "
-           f"plain dicts/lists/scalars (static rule: MC2502)")
+           f"plain dicts/lists/scalars")
 
 
 # --------------------------------------------------------------------------

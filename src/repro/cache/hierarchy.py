@@ -402,17 +402,7 @@ class CacheHierarchy:
             self._trace.instant("cache", "caches", "mclazy-preprocess",
                                 {"dst": hex(dst), "src": hex(src),
                                  "size": size})
-        for line in range(align_down(src, CACHELINE_SIZE),
-                          src + size, CACHELINE_SIZE):
-            data = self._clean_scan(line)
-            if data is not None:
-                wb = Packet(PacketType.WRITE, line, CACHELINE_SIZE,
-                            requestor=core)
-                wb.data = data
-                self._writebacks.inc()
-                self._send(wb)
-        for line in range(dst, dst + size, CACHELINE_SIZE):
-            self._invalidate_everywhere(line)
+        self._copy_boundary(core, dst, src, size)
         pkt = Packet(PacketType.MCLAZY, dst, size, src_addr=src,
                      requestor=core,
                      on_complete=lambda p: on_complete(self.sim.now))
@@ -435,17 +425,7 @@ class CacheHierarchy:
             self._trace.instant("cache", "caches", "inmem-copy-preprocess",
                                 {"dst": hex(dst), "src": hex(src),
                                  "size": size, "mode": mode})
-        for line in range(align_down(src, CACHELINE_SIZE),
-                          src + size, CACHELINE_SIZE):
-            data = self._clean_scan(line)
-            if data is not None:
-                wb = Packet(PacketType.WRITE, line, CACHELINE_SIZE,
-                            requestor=core)
-                wb.data = data
-                self._writebacks.inc()
-                self._send(wb)
-        for line in range(dst, dst + size, CACHELINE_SIZE):
-            self._invalidate_everywhere(line)
+        self._copy_boundary(core, dst, src, size)
         pkt = Packet(PacketType.INMEM_COPY, dst, size, src_addr=src,
                      requestor=core,
                      on_complete=lambda p: on_complete(self.sim.now))
@@ -483,14 +463,7 @@ class CacheHierarchy:
             self._trace.instant("cache", "caches", "bulk-copy",
                                 {"dst": hex(dst), "src": hex(src),
                                  "size": size})
-        for line in range(src, src + size, CACHELINE_SIZE):
-            data = self._clean_scan(line)
-            if data is not None:
-                wb = Packet(PacketType.WRITE, line, CACHELINE_SIZE)
-                wb.data = data
-                self._send(wb)
-        for line in range(dst, dst + size, CACHELINE_SIZE):
-            self._invalidate_everywhere(line)
+        self._copy_boundary(core, dst, src, size)
 
         lines = list(range(0, size, CACHELINE_SIZE))
         state = {"next": 0, "pending": 0}
@@ -525,6 +498,23 @@ class CacheHierarchy:
         self._send(rd)
 
     # ----------------------------------------------------------- plumbing
+    def _copy_boundary(self, core: int, dst: int, src: int,
+                       size: int) -> None:
+        """Coherence boundary in front of a memory-side copy: write back
+        (and count) dirty source lines ahead of the copy's packets, and
+        invalidate destination lines the copy overwrites in memory."""
+        for line in range(align_down(src, CACHELINE_SIZE),
+                          src + size, CACHELINE_SIZE):
+            data = self._clean_scan(line)
+            if data is not None:
+                wb = Packet(PacketType.WRITE, line, CACHELINE_SIZE,
+                            requestor=core)
+                wb.data = data
+                self._writebacks.inc()
+                self._send(wb)
+        for line in range(dst, dst + size, CACHELINE_SIZE):
+            self._invalidate_everywhere(line)
+
     def _clean_scan(self, line_addr: int) -> Optional[bytes]:
         """Clear ``line_addr``'s dirty bit in every cache; first dirty wins.
 

@@ -48,12 +48,12 @@ def canonical_name(name: str) -> str:
 def known_backend(name: str) -> bool:
     """True when ``name`` (or an alias of it) is registered."""
     # Import-time-frozen lookup table; see module docstring.
-    return canonical_name(name) in BACKENDS  # noqa: MC2501
+    return canonical_name(name) in BACKENDS
 
 
 def backend_names() -> List[str]:
     """Canonical names of every registered backend, sorted."""
-    return sorted(BACKENDS)  # noqa: MC2501
+    return sorted(BACKENDS)
 
 
 def needs_ctt(name: str) -> bool:
@@ -74,7 +74,7 @@ def make_backend(name: str, system,
     for backends whose hardware the machine was built without.
     """
     canonical = canonical_name(name)
-    cls = BACKENDS.get(canonical)  # noqa: MC2501
+    cls = BACKENDS.get(canonical)
     if cls is None:
         raise ConfigError(
             f"unknown copy backend {name!r}; known backends: "

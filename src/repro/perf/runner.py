@@ -311,7 +311,7 @@ def sim_map(points: Iterable[SimPoint],
                 if san is not None and san.should_audit_hit():
                     # Recompute serially in the parent and compare: a
                     # divergence means the key omits an input that
-                    # influences the result (MC2501's dynamic oracle).
+                    # influences the result.
                     san.audit_hit(point.name, keys[i], value,
                                   lambda p=point: p.fn(*p.args, **p.kwargs))
                 results[i] = value

@@ -61,6 +61,6 @@ def logged(i, log_dir):
     log = pathlib.Path(log_dir) / "exec.log"
     # Write-only side channel: the log never feeds the returned value,
     # so the cache key (which omits it) stays sound.
-    with open(log, "a", encoding="utf-8") as handle:  # noqa: MC2501
+    with open(log, "a", encoding="utf-8") as handle:
         handle.write(f"{i}\n")
     return {"i": i, "cube": i ** 3}

@@ -1,9 +1,11 @@
 """Deliberately planted sweep-purity violations.
 
-This module is the shared fixture for the two-sided oracle check: the
-same planted bug must be caught *statically* by the analyzer
-(``MC2401``/``MC2501`` in ``test_simsan.py``) and *dynamically* by the
-``REPRO_SIMSAN=1`` runtime sanitizer.  It is excluded from lint sweeps
+This module is the shared fixture for the sanitizer tests in
+``test_simsan.py``.  The global-write plant is the two-sided oracle
+check: it must be caught *statically* by the analyzer (``MC2401``) and
+*dynamically* by the ``REPRO_SIMSAN=1`` runtime sanitizer.  The
+cache-key plant has no static rule; the sanitizer's cache-hit audit is
+its only check.  The module is excluded from lint sweeps
 (``--exclude tests/unit/simsan_plants.py`` in CI and the Makefile)
 precisely because its findings are intentional.
 

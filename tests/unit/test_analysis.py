@@ -41,11 +41,6 @@ POSITIVE = {
     "MC2003": ("def arbitrate(reqs):\n"
                "    for req in set(reqs):\n"
                "        yield req\n"),
-    "MC2004": ("def hit(lat, total):\n"
-               "    return lat / 2 == total\n"),
-    "MC2005": "def enqueue(item, queue=[]):\n    queue.append(item)\n",
-    "MC2101": ("def fire(sim):\n"
-               "    sim.schedule(-5, lambda: None)\n"),
     "MC2102": ("from repro.sim.stats import Counter\n\n"
                "def make():\n"
                "    return Counter('hits', 'hits')\n"),
@@ -67,13 +62,6 @@ NEGATIVE = {
     "MC2003": ("def arbitrate(reqs):\n"
                "    for req in sorted(set(reqs)):\n"
                "        yield req\n"),
-    "MC2004": ("def hit(lat, total):\n"
-               "    return lat // 2 == total\n"),
-    "MC2005": ("def enqueue(item, queue=None):\n"
-               "    queue = queue or []\n"
-               "    queue.append(item)\n"),
-    "MC2101": ("def fire(sim):\n"
-               "    sim.schedule(5, lambda: None)\n"),
     "MC2102": ("def make(stats):\n"
                "    return stats.counter('hits', 'hits')\n"),
     "MC2103": ("from repro.common.errors import SimulationError\n\n"
@@ -219,22 +207,22 @@ def test_noqa_table_parsing():
 # --------------------------------------------------------------- baseline
 def test_baseline_round_trip(tmp_path):
     src_file = tmp_path / "fixture.py"
-    src_file.write_text(POSITIVE["MC2005"])
-    first = engine.run([str(src_file)], select=["MC2005"])
+    src_file.write_text(POSITIVE["MC2002"])
+    first = engine.run([str(src_file)], select=["MC2002"])
     assert not first.ok
 
     baseline_path = tmp_path / "baseline.json"
     count = baseline_mod.save(str(baseline_path), first.findings)
     assert count == 1
 
-    second = engine.run([str(src_file)], select=["MC2005"],
+    second = engine.run([str(src_file)], select=["MC2002"],
                         baseline_path=str(baseline_path))
     assert second.ok and second.findings[0].baselined
 
     # A new finding in the same file still gates.
-    src_file.write_text(POSITIVE["MC2005"]
-                        + "\ndef more(extra={}):\n    return extra\n")
-    third = engine.run([str(src_file)], select=["MC2005"],
+    src_file.write_text(POSITIVE["MC2002"]
+                        + "\ndef more():\n    return random.random()\n")
+    third = engine.run([str(src_file)], select=["MC2002"],
                        baseline_path=str(baseline_path))
     assert not third.ok
     assert len(third.active) == 1
@@ -242,14 +230,14 @@ def test_baseline_round_trip(tmp_path):
 
 def test_baseline_fingerprints_survive_line_moves(tmp_path):
     src_file = tmp_path / "fixture.py"
-    src_file.write_text(POSITIVE["MC2005"])
-    first = engine.run([str(src_file)], select=["MC2005"])
+    src_file.write_text(POSITIVE["MC2002"])
+    first = engine.run([str(src_file)], select=["MC2002"])
     baseline_path = tmp_path / "baseline.json"
     baseline_mod.save(str(baseline_path), first.findings)
 
     # Unrelated edits above the finding must not churn the baseline.
-    src_file.write_text("# a new comment\n\n" + POSITIVE["MC2005"])
-    moved = engine.run([str(src_file)], select=["MC2005"],
+    src_file.write_text("# a new comment\n\n" + POSITIVE["MC2002"])
+    moved = engine.run([str(src_file)], select=["MC2002"],
                        baseline_path=str(baseline_path))
     assert moved.ok and moved.findings[0].baselined
 
@@ -258,7 +246,7 @@ def test_malformed_baseline_is_config_error(tmp_path):
     bad = tmp_path / "baseline.json"
     bad.write_text("{\"entries\": 7}")
     src_file = tmp_path / "fixture.py"
-    src_file.write_text(POSITIVE["MC2005"])
+    src_file.write_text(POSITIVE["MC2002"])
     with pytest.raises(ConfigError):
         engine.run([str(src_file)], baseline_path=str(bad))
 
@@ -420,7 +408,7 @@ def test_stats_absent_without_flag(tmp_path):
 
 def test_cli_write_baseline_then_gate_passes(tmp_path, capsys):
     dirty = tmp_path / "dirty.py"
-    dirty.write_text(POSITIVE["MC2005"])
+    dirty.write_text(POSITIVE["MC2002"])
     baseline_path = tmp_path / "baseline.json"
     assert cli_main([str(dirty), "--baseline", str(baseline_path),
                      "--write-baseline"]) == 0

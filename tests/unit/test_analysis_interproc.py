@@ -1,8 +1,7 @@
-"""Tests for the interprocedural analyzer layers added in PR 4.
+"""Tests for the interprocedural analyzer layers.
 
-Covers the shared call-graph IR, the fork-safety (MC2401-MC2404) and
-cache-soundness (MC2501-MC2503) rule families, suppression hygiene
-(MC2901), and the baseline ``--diff`` mode.
+Covers the shared call-graph IR, the fork-safety (MC2401-MC2404) rule
+family, suppression hygiene (MC2901), and the baseline ``--diff`` mode.
 """
 
 from pathlib import Path
@@ -29,6 +28,12 @@ def codes(report):
 SWEEP = ("\ndef sweep():\n"
          "    return sim_map([SimPoint(point, (i,)) for i in range(2)])\n")
 
+#: One MC2003 finding (set iteration), the fixture for rule-agnostic
+#: machinery: baselines, ``--diff`` and ``--exclude``.
+UNORDERED = ("def arbitrate(reqs):\n"
+             "    for req in set(reqs):\n"
+             "        yield req\n")
+
 # ------------------------------------------------------------------ fixtures
 POSITIVE = {
     "MC2401": ("from repro.perf.runner import SimPoint, sim_map\n\n"
@@ -53,19 +58,6 @@ POSITIVE = {
                "    for name in names:\n"
                "        rows.extend(sim_map([SimPoint(point, (name,))]))\n"
                "    return rows\n"),
-    "MC2501": ("from repro.perf.runner import SimPoint, sim_map\n\n"
-               "KNOB = {'v': 1}\n\n"
-               "def tune(v):\n"
-               "    KNOB['v'] = v\n\n"
-               "def point(x):\n"
-               "    return {'x': x, 'k': KNOB['v']}\n" + SWEEP),
-    "MC2502": ("from repro.perf.runner import SimPoint, sim_map\n\n"
-               "def point(x):\n"
-               "    return (x, x * x)\n" + SWEEP),
-    "MC2503": ("import numpy\n"
-               "from repro.perf.runner import SimPoint, sim_map\n\n"
-               "def point(x):\n"
-               "    return {'x': float(numpy.float64(x))}\n" + SWEEP),
 }
 
 NEGATIVE = {
@@ -96,18 +88,6 @@ NEGATIVE = {
                "    for name in sorted(names):\n"
                "        rows.extend(sim_map([SimPoint(point, (name,))]))\n"
                "    return rows\n"),
-    # Never-mutated module container: a constant table, not an input.
-    "MC2501": ("from repro.perf.runner import SimPoint, sim_map\n\n"
-               "TABLE = {'v': 1}\n\n"
-               "def point(x):\n"
-               "    return {'x': x, 'k': TABLE['v']}\n" + SWEEP),
-    "MC2502": ("from repro.perf.runner import SimPoint, sim_map\n\n"
-               "def point(x):\n"
-               "    return {'x': x, 'sq': x * x}\n" + SWEEP),
-    "MC2503": ("import math\n"
-               "from repro.perf.runner import SimPoint, sim_map\n\n"
-               "def point(x):\n"
-               "    return {'x': math.sqrt(x)}\n" + SWEEP),
 }
 
 
@@ -156,7 +136,7 @@ def test_no_workers_means_no_worker_path_findings(tmp_path):
     src = ("STATE = []\n\n"
            "def collect(x):\n"
            "    STATE.append(x)\n")
-    for code in ("MC2401", "MC2402", "MC2501", "MC2502", "MC2503"):
+    for code in ("MC2401", "MC2402", "MC2403", "MC2404"):
         report = analyze_source(tmp_path, src, select=[code])
         assert codes(report) == [], code
 
@@ -284,16 +264,41 @@ def test_stale_bare_noqa_flagged_on_full_run(tmp_path):
 
 
 def test_stale_coded_noqa_flagged(tmp_path):
-    src = "def f(a, b):\n    return a + b  # noqa: MC2004\n"
-    report = analyze_source(tmp_path, src, select=["MC2901", "MC2004"])
+    src = "def f(a, b):\n    return a + b  # noqa: MC2002\n"
+    report = analyze_source(tmp_path, src, select=["MC2901", "MC2002"])
     assert codes(report) == ["MC2901"]
 
 
 def test_active_suppression_not_flagged(tmp_path):
-    src = "def f(a, b):\n    return a / 2 == b  # noqa: MC2004\n"
-    report = analyze_source(tmp_path, src, select=["MC2901", "MC2004"])
-    assert codes(report) == ["MC2004"]
+    src = ("import random\n\n"
+           "def f(items):\n"
+           "    return random.choice(items)  # noqa: MC2002\n")
+    report = analyze_source(tmp_path, src, select=["MC2901", "MC2002"])
+    assert codes(report) == ["MC2002"]
     assert report.findings[0].suppressed
+
+
+def test_unregistered_code_noqa_flagged(tmp_path):
+    # A code no rule registers (a typo, a retired rule) never suppresses
+    # anything, so it is flagged on a full run and under --select alike.
+    src = "x = 1  # noqa: MC2999\n"
+    report = analyze_source(tmp_path, src)
+    assert codes(report) == ["MC2901"]
+    assert "MC2999" in report.findings[0].message
+    report = analyze_source(tmp_path, src, select=["MC2901", "MC2003"])
+    assert codes(report) == ["MC2901"]
+    # MC2000 is the engine's parse-failure code, not a rule: exempt.
+    assert codes(analyze_source(tmp_path, "x = 1  # noqa: MC2000\n")) == []
+
+
+def test_unregistered_code_beside_an_active_one(tmp_path):
+    src = ("import random\n\n"
+           "def f(items):\n"
+           "    return random.choice(items)  # noqa: MC2002, MC2999\n")
+    report = analyze_source(tmp_path, src, select=["MC2901", "MC2002"])
+    assert codes(report) == ["MC2002", "MC2901"]
+    stale = [f for f in report.findings if f.rule == "MC2901"]
+    assert "MC2999" in stale[0].message and "MC2002" not in stale[0].message
 
 
 def test_foreign_tool_codes_left_alone(tmp_path):
@@ -302,15 +307,15 @@ def test_foreign_tool_codes_left_alone(tmp_path):
 
 
 def test_unrun_code_is_indeterminate(tmp_path):
-    # MC2004 did not run, so its suppression cannot be judged stale.
-    src = "x = 1  # noqa: MC2004\n"
+    # MC2002 did not run, so its suppression cannot be judged stale.
+    src = "x = 1  # noqa: MC2002\n"
     report = analyze_source(tmp_path, src, select=["MC2901", "MC2003"])
     assert codes(report) == []
 
 
 def test_bare_noqa_indeterminate_under_select(tmp_path):
     report = analyze_source(tmp_path, "x = 1  # noqa\n",
-                            select=["MC2901", "MC2004"])
+                            select=["MC2901", "MC2003"])
     assert codes(report) == []
 
 
@@ -329,8 +334,7 @@ def test_noqa_mention_in_prose_comment_is_not_a_marker(tmp_path):
 @pytest.fixture
 def diff_tree(tmp_path):
     src_file = tmp_path / "mod.py"
-    src_file.write_text("def enqueue(item, queue=[]):\n"
-                        "    queue.append(item)\n")
+    src_file.write_text(UNORDERED)
     base_file = tmp_path / "baseline.json"
     assert cli_main([str(src_file), "--baseline", str(base_file),
                      "--write-baseline"]) == 0
@@ -347,9 +351,7 @@ def test_diff_clean_against_baseline(diff_tree, capsys):
 
 def test_diff_flags_only_new_findings(diff_tree, capsys):
     src_file, base_file = diff_tree
-    src_file.write_text("import random\n\n"
-                        "def enqueue(item, queue=[]):\n"
-                        "    queue.append(item)\n\n"
+    src_file.write_text("import random\n\n" + UNORDERED + "\n"
                         "def pick(items):\n"
                         "    return random.choice(items)\n")
     code = cli_main([str(src_file), "--baseline", str(base_file), "--diff"])
@@ -357,25 +359,22 @@ def test_diff_flags_only_new_findings(diff_tree, capsys):
     assert code == 1
     assert "+ " in out and "MC2002" in out
     assert "1 new finding(s)" in out
-    assert "MC2005" not in out.replace("0 new", "")  # old debt not re-flagged
+    assert "MC2003" not in out  # old debt not re-flagged
 
 
 def test_diff_reports_fixed_entries(diff_tree, capsys):
     src_file, base_file = diff_tree
-    src_file.write_text("def enqueue(item, queue=None):\n"
-                        "    queue = queue or []\n"
-                        "    queue.append(item)\n")
+    src_file.write_text(UNORDERED.replace("set(reqs)", "sorted(set(reqs))"))
     code = cli_main([str(src_file), "--baseline", str(base_file), "--diff"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "- " in out and "MC2005" in out
+    assert "- " in out and "MC2003" in out
     assert "1 fixed baseline entry" in out
 
 
 def test_diff_without_baseline_file_treats_all_as_new(tmp_path, capsys):
     src_file = tmp_path / "mod.py"
-    src_file.write_text("def enqueue(item, queue=[]):\n"
-                        "    queue.append(item)\n")
+    src_file.write_text(UNORDERED)
     code = cli_main([str(src_file), "--baseline",
                      str(tmp_path / "missing.json"), "--diff"])
     assert code == 1
@@ -385,7 +384,7 @@ def test_diff_without_baseline_file_treats_all_as_new(tmp_path, capsys):
 # ------------------------------------------------------------------- --exclude
 def test_exclude_drops_files(tmp_path):
     (tmp_path / "clean.py").write_text("x = 1\n")
-    (tmp_path / "dirty.py").write_text("def f(q=[]):\n    q.append(1)\n")
+    (tmp_path / "dirty.py").write_text(UNORDERED)
     report = engine.run([str(tmp_path)],
                         exclude=[str(tmp_path / "dirty.py")])
     assert report.files_analyzed == 1
@@ -395,10 +394,11 @@ def test_exclude_drops_files(tmp_path):
 def test_exclude_directory_prefix(tmp_path):
     sub = tmp_path / "plants"
     sub.mkdir()
-    (sub / "bad.py").write_text("def f(q=[]):\n    q.append(1)\n")
+    (sub / "bad.py").write_text(UNORDERED)
     (tmp_path / "ok.py").write_text("x = 1\n")
     report = engine.run([str(tmp_path)], exclude=[str(sub)])
     assert report.files_analyzed == 1
+    assert codes(report) == []
 
 
 # --------------------------------------------------- taint re-host regression

@@ -78,31 +78,3 @@ class TestCttModel:
         assert "32KB" in text
         assert "0.79" in text
 
-
-class TestPlotting:
-    def test_bar_chart_renders(self):
-        from repro.analysis.plotting import bar_chart
-        rows = [{"name": "a", "v": 1.0}, {"name": "bb", "v": 2.0}]
-        out = bar_chart(rows, "name", "v", title="t")
-        assert "t" in out and "bb" in out and "#" in out
-
-    def test_line_plot_renders_multiple_series(self):
-        from repro.analysis.plotting import line_plot
-        out = line_plot({"x": [1, 2, 3], "y": [3, 2, 1]}, title="p")
-        assert "p" in out
-        assert "*" in out and "o" in out
-
-    def test_line_plot_log_scale(self):
-        from repro.analysis.plotting import line_plot
-        out = line_plot({"s": [1, 10, 100, 1000]}, log_y=True)
-        assert "(log y)" in out
-
-    def test_cdf_plot(self):
-        from repro.analysis.plotting import cdf_plot
-        out = cdf_plot([("1KB", 0.5), ("4KB", 1.0)])
-        assert "100.0%" in out
-
-    def test_empty_inputs(self):
-        from repro.analysis.plotting import bar_chart, line_plot
-        assert "no data" in bar_chart([], "a", "b")
-        assert "no data" in line_plot({})
