@@ -27,7 +27,7 @@ bench-full:
 # Figs. 14, 18 and 19), then the events/sec gate against
 # benchmarks/bench-baseline.json.
 bench-smoke:
-	REPRO_JOBS=2 $(PYTHON) -m pytest benchmarks/test_fig12_seq_access.py benchmarks/test_fig21_bpq_sweep.py benchmarks/test_fig14_protobuf.py benchmarks/test_fig18_hugepage_cow.py benchmarks/test_fig19_pipe.py -x -q -p no:cacheprovider
+	REPRO_JOBS=2 $(PYTHON) -m pytest benchmarks/test_fig12_seq_access.py benchmarks/test_fig21_bpq_sweep.py benchmarks/test_fig14_protobuf.py benchmarks/test_fig18_hugepage_cow.py benchmarks/test_fig19_pipe.py benchmarks/test_fig02_copy_overhead.py -x -q -p no:cacheprovider
 	$(PYTHON) -m repro.perf gate
 
 # Re-record the machine-normalized perf baseline (run on an idle box).

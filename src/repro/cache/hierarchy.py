@@ -99,8 +99,12 @@ class CacheHierarchy:
         self._trace = None
         # Invalidation epochs: a fill that started before an invalidation
         # (MCLAZY destination, NT store, bulk-copy overwrite) must not
-        # install its now-stale data when it returns.
+        # install its now-stale data when it returns.  An epoch matters
+        # only while a fill that captured it is outstanding, so
+        # invalidations bump only while captures are outstanding and the
+        # table empties when the last one is released.
         self._fill_epoch: Dict[int, int] = {}
+        self._epoch_captures = 0
         # Lines whose cached copy was filled from poisoned memory
         # (detected-uncorrectable ECC).  Writebacks of these lines carry
         # the poison back to memory so corruption stays contained; a
@@ -168,10 +172,10 @@ class CacheHierarchy:
             done = self.sim.now + params.L2_HIT_CYCLES
             data = bytes(l2_line.data)
             value = data[offset:offset + size]
-            epoch = self._fill_epoch.get(line_addr, 0)
+            epoch = self._capture_epoch(line_addr)
 
             def _fill_l1() -> None:
-                if self._fill_epoch.get(line_addr, 0) == epoch:
+                if self._release_epoch(line_addr, epoch):
                     self._install(l1, line_addr, data, dirty=False)
                 on_complete(value, done)
 
@@ -191,10 +195,10 @@ class CacheHierarchy:
             peer_line.dirty = False
             done = self.sim.now + params.L2_HIT_CYCLES + 10
             value = data[offset:offset + size]
-            epoch = self._fill_epoch.get(line_addr, 0)
+            epoch = self._capture_epoch(line_addr)
 
             def _forwarded(d=data, v=value, t=done) -> None:
-                if self._fill_epoch.get(line_addr, 0) == epoch:
+                if self._release_epoch(line_addr, epoch):
                     self._install(l1, line_addr, d, dirty=False)
                 on_complete(v, t)
 
@@ -465,17 +469,16 @@ class CacheHierarchy:
                                  "size": size})
         self._copy_boundary(core, dst, src, size)
 
-        lines = list(range(0, size, CACHELINE_SIZE))
-        state = {"next": 0, "pending": 0}
+        state = {"next": 0, "pending": 0}  # next line offset, in flight
         window = 32
 
         def _issue_more() -> None:
-            while state["next"] < len(lines) and state["pending"] < window:
-                offset = lines[state["next"]]
-                state["next"] += 1
+            while state["next"] < size and state["pending"] < window:
+                offset = state["next"]
+                state["next"] += CACHELINE_SIZE
                 state["pending"] += 1
                 self._bulk_copy_line(dst + offset, src + offset, _one_done)
-            if state["next"] >= len(lines) and state["pending"] == 0:
+            if state["next"] >= size and state["pending"] == 0:
                 on_complete(self.sim.now)
 
         def _one_done() -> None:
@@ -542,6 +545,21 @@ class CacheHierarchy:
                 line.data[:] = data
         return data
 
+    def _capture_epoch(self, line_addr: int) -> int:
+        """Open a fill's freshness window on ``line_addr``; every capture
+        is closed by exactly one :meth:`_release_epoch`."""
+        self._epoch_captures += 1
+        return self._fill_epoch.get(line_addr, 0)
+
+    def _release_epoch(self, line_addr: int, epoch: int) -> bool:
+        """Close a capture: True when ``line_addr`` was not invalidated
+        since :meth:`_capture_epoch` returned ``epoch``."""
+        fresh = self._fill_epoch.get(line_addr, 0) == epoch
+        self._epoch_captures -= 1
+        if not self._epoch_captures:
+            self._fill_epoch.clear()
+        return fresh
+
     def _invalidate_everywhere(self, line_addr: int) -> None:
         """Drop a line from all caches and poison in-flight fills for it.
 
@@ -555,7 +573,8 @@ class CacheHierarchy:
             for cache in self._caches:
                 if cache.bit & held:
                     cache.invalidate(line_addr)
-        self._fill_epoch[line_addr] = self._fill_epoch.get(line_addr, 0) + 1
+        if self._epoch_captures:
+            self._fill_epoch[line_addr] = self._fill_epoch.get(line_addr, 0) + 1
         self._inflight_fills.pop(line_addr, None)
         self.poisoned_lines.discard(line_addr)
         # A poisoned prefetch still returns and decrements its core's
@@ -622,7 +641,7 @@ class CacheHierarchy:
         self._prefetch_inflight_by_core[core] += 1
         waiters_list: List[Callable[[bytes, int], None]] = []
         self._inflight_fills[line_addr] = waiters_list
-        epoch = self._fill_epoch.get(line_addr, 0)
+        epoch = self._capture_epoch(line_addr)
 
         def _on_return(pkt: Packet) -> None:
             if line_addr in self._prefetch_inflight:
@@ -632,7 +651,7 @@ class CacheHierarchy:
             data = pkt.data or bytes(CACHELINE_SIZE)
             if self._inflight_fills.get(line_addr) is waiters_list:
                 del self._inflight_fills[line_addr]
-            if self._fill_epoch.get(line_addr, 0) == epoch:
+            if self._release_epoch(line_addr, epoch):
                 self._install(self.l2, line_addr, data, dirty=False)
                 self._note_fill_poison(line_addr, pkt.poisoned)
             # Demand accesses that arrived meanwhile coalesced onto this
@@ -670,10 +689,10 @@ class CacheHierarchy:
             # a fill poisoned after registration does not install.
             if line_addr in self._prefetch_inflight:
                 self._prefetch_useful.inc()
-            epoch = self._fill_epoch.get(line_addr, 0)
+            epoch = self._capture_epoch(line_addr)
             waiters.append(lambda data, t: self._finish_miss(
-                core, line_addr, data, t, on_fill, fill_l1,
-                holds_mshr=False, epoch=epoch))
+                core, line_addr, data, t, on_fill, fill_l1, epoch,
+                holds_mshr=False))
             return
         if self._outstanding[core] >= params.MAX_OUTSTANDING_MISSES:
             self._mshr_waiters[core].append(
@@ -682,7 +701,8 @@ class CacheHierarchy:
         self._outstanding[core] += 1
         waiters_list: List[Callable[[bytes, int], None]] = []
         self._inflight_fills[line_addr] = waiters_list
-        epoch = self._fill_epoch.get(line_addr, 0)
+        # Released by _finish_miss once the L1 install is decided.
+        epoch = self._capture_epoch(line_addr)
         self._mem_reads.inc()
 
         def _on_return(pkt: Packet) -> None:
@@ -694,7 +714,7 @@ class CacheHierarchy:
                 self._install(self.l2, line_addr, data, dirty=False)
                 self._note_fill_poison(line_addr, pkt.poisoned)
             self._finish_miss(core, line_addr, data, finish, on_fill,
-                              fill_l1, epoch=epoch)
+                              fill_l1, epoch)
             for waiter in waiters_list:
                 waiter(data, finish)
 
@@ -704,14 +724,13 @@ class CacheHierarchy:
 
     def _finish_miss(self, core: int, line_addr: int, data: bytes,
                      finish: int, on_fill: Callable[[bytes, int], None],
-                     fill_l1: bool, holds_mshr: bool = True,
-                     epoch: Optional[int] = None) -> None:
+                     fill_l1: bool, epoch: int,
+                     holds_mshr: bool = True) -> None:
         def _complete() -> None:
             # Freshness must be re-checked at install time: an MCLAZY
             # invalidation can land between the fill's return and this
             # completion event.
-            fresh = (epoch is None
-                     or self._fill_epoch.get(line_addr, 0) == epoch)
+            fresh = self._release_epoch(line_addr, epoch)
             if fill_l1 and fresh:
                 self._install(self.l1s[core], line_addr, data, dirty=False)
             if holds_mshr:

@@ -3,15 +3,27 @@
 The simulator co-simulates *timing* and *function*: every physical address
 has real byte contents, so lazy copies can be checked for bit-exact
 equivalence with an eager ``memcpy`` oracle.  Storage is a sparse dict of
-cacheline-sized ``bytearray`` blocks; untouched memory reads as zeros.
+4 KB (``PAGE_SIZE``) ``bytearray`` pages, keyed by page number, held
+through ``memoryview``s (slicing one copies nothing) and allocated on the
+first write into them; untouched memory reads as zeros.  A page costs a
+few objects and one dict slot per 4 KB, so the store holds little more
+host memory than the bytes written, and ``read`` / ``write`` move a whole
+page span per step.  Poison stays per 64 B cacheline, the granularity of
+the ECC model.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, List, Set
 
 from repro.common.errors import AddressError
-from repro.common.units import CACHELINE_SIZE, align_down
+from repro.common.units import CACHELINE_SIZE, PAGE_SIZE, align_down, align_up
+
+_PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
+_PAGE_MASK = PAGE_SIZE - 1
+_LINE_MASK = ~(CACHELINE_SIZE - 1)
+_ZERO_LINE = bytes(CACHELINE_SIZE)
+_ZERO_PAGE = memoryview(bytes(PAGE_SIZE))
 
 
 class BackingStore:
@@ -29,7 +41,8 @@ class BackingStore:
             raise AddressError(f"capacity must be a positive multiple of "
                                f"{CACHELINE_SIZE}, got {capacity}")
         self.capacity = capacity
-        self._lines: Dict[int, bytearray] = {}
+        # Page number -> a view of its PAGE_SIZE bytes.
+        self._pages: Dict[int, memoryview] = {}
         self._poisoned: Set[int] = set()
 
     # ------------------------------------------------------------ checking
@@ -41,19 +54,18 @@ class BackingStore:
             )
 
     # ------------------------------------------------------------- lines
-    def _line(self, line_addr: int) -> bytearray:
-        line = self._lines.get(line_addr)
-        if line is None:
-            line = bytearray(CACHELINE_SIZE)
-            self._lines[line_addr] = line
-        return line
-
+    # The line accessors run once per memory access, so they test the
+    # range inline and call _check_range only to raise.
     def read_line(self, addr: int) -> bytes:
         """Read the 64B cacheline containing ``addr``."""
-        base = align_down(addr, CACHELINE_SIZE)
-        self._check_range(base, CACHELINE_SIZE)
-        line = self._lines.get(base)
-        return bytes(line) if line is not None else bytes(CACHELINE_SIZE)
+        base = addr & _LINE_MASK
+        if base < 0 or base + CACHELINE_SIZE > self.capacity:
+            self._check_range(base, CACHELINE_SIZE)
+        page = self._pages.get(base >> _PAGE_SHIFT)
+        if page is None:
+            return _ZERO_LINE
+        off = base & _PAGE_MASK
+        return page[off:off + CACHELINE_SIZE].tobytes()
 
     def write_line(self, addr: int, data: bytes) -> None:
         """Overwrite the 64B cacheline containing ``addr``.
@@ -62,45 +74,68 @@ class BackingStore:
         line's poison bit clears; callers moving *derived* data (lazy-copy
         materialization, poisoned writebacks) re-poison explicitly.
         """
-        base = align_down(addr, CACHELINE_SIZE)
-        self._check_range(base, CACHELINE_SIZE)
+        base = addr & _LINE_MASK
+        if base < 0 or base + CACHELINE_SIZE > self.capacity:
+            self._check_range(base, CACHELINE_SIZE)
         if len(data) != CACHELINE_SIZE:
             raise AddressError(f"write_line needs {CACHELINE_SIZE}B, "
                                f"got {len(data)}")
-        self._lines[base] = bytearray(data)
+        page = self._pages.get(base >> _PAGE_SHIFT)
+        if page is None:
+            page = memoryview(bytearray(PAGE_SIZE))
+            self._pages[base >> _PAGE_SHIFT] = page
+        off = base & _PAGE_MASK
+        page[off:off + CACHELINE_SIZE] = data
         self._poisoned.discard(base)
 
     # ------------------------------------------------------------- bytes
     def read(self, addr: int, size: int) -> bytes:
-        """Read ``size`` bytes starting at ``addr`` (may span lines)."""
+        """Read ``size`` bytes starting at ``addr`` (may span pages)."""
         self._check_range(addr, size)
-        out = bytearray(size)
+        off = addr & _PAGE_MASK
+        if off + size <= PAGE_SIZE:
+            page = self._pages.get(addr >> _PAGE_SHIFT)
+            if page is None:
+                return bytes(size)
+            return page[off:off + size].tobytes()
+        # Join views of each page's span: the result is the only copy.
+        spans: List[memoryview] = []
         pos = 0
         while pos < size:
             cur = addr + pos
-            base = align_down(cur, CACHELINE_SIZE)
-            off = cur - base
-            take = min(CACHELINE_SIZE - off, size - pos)
-            line = self._lines.get(base)
-            if line is not None:
-                out[pos:pos + take] = line[off:off + take]
+            off = cur & _PAGE_MASK
+            take = min(PAGE_SIZE - off, size - pos)
+            page = self._pages.get(cur >> _PAGE_SHIFT, _ZERO_PAGE)
+            spans.append(page[off:off + take])
             pos += take
-        return bytes(out)
+        return b"".join(spans)
 
     def write(self, addr: int, data: bytes) -> None:
-        """Write ``data`` starting at ``addr`` (may span lines)."""
+        """Write ``data`` starting at ``addr`` (may span pages).
+
+        Every line the write covers whole loses its poison bit, as with
+        :meth:`write_line`.
+        """
         size = len(data)
         self._check_range(addr, size)
+        view = memoryview(data)
         pos = 0
         while pos < size:
             cur = addr + pos
-            base = align_down(cur, CACHELINE_SIZE)
-            off = cur - base
-            take = min(CACHELINE_SIZE - off, size - pos)
-            self._line(base)[off:off + take] = data[pos:pos + take]
-            if take == CACHELINE_SIZE:
-                self._poisoned.discard(base)
+            off = cur & _PAGE_MASK
+            take = min(PAGE_SIZE - off, size - pos)
+            page = self._pages.get(cur >> _PAGE_SHIFT)
+            if page is None:
+                page = memoryview(bytearray(PAGE_SIZE))
+                self._pages[cur >> _PAGE_SHIFT] = page
+            page[off:off + take] = view[pos:pos + take]
             pos += take
+        if self._poisoned:
+            line = align_up(addr, CACHELINE_SIZE)
+            end = align_down(addr + size, CACHELINE_SIZE)
+            while line < end:
+                self._poisoned.discard(line)
+                line += CACHELINE_SIZE
 
     def copy(self, dst: int, src: int, size: int) -> None:
         """Eagerly move ``size`` bytes from ``src`` to ``dst`` (oracle op)."""
@@ -158,8 +193,3 @@ class BackingStore:
     def poisoned_lines(self) -> Set[int]:
         """Snapshot of poisoned line addresses."""
         return set(self._poisoned)
-
-    @property
-    def resident_lines(self) -> int:
-        """Number of cachelines that have ever been written."""
-        return len(self._lines)

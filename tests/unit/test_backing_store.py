@@ -1,8 +1,11 @@
 """Unit tests for the byte-accurate backing store."""
 
+import tracemalloc
+
 import pytest
 
 from repro.common.errors import AddressError
+from repro.common.units import MB, PAGE_SIZE
 from repro.mem.backing_store import BackingStore
 
 
@@ -79,10 +82,22 @@ class TestByteAccess:
             store.read(0, -1)
 
 
-class TestResidency:
-    def test_resident_lines_counts_written_lines(self, store):
-        assert store.resident_lines == 0
-        store.write(0, b"x")
-        store.write(64, b"y")
-        store.write(70, b"z")
-        assert store.resident_lines == 2
+class TestFootprint:
+    def test_host_memory_stays_near_the_bytes_written(self):
+        # Pages cost one object and one dict slot per 4 KB.  A store of
+        # 64 B lines pays a bytearray, a dict slot and an int key per
+        # line and peaks near 3x the bytes written here.
+        size = 2 * MB
+        payload = bytes(range(256)) * (size // 256)
+        tracemalloc.start()
+        try:
+            store = BackingStore(4 * MB)
+            store.write(0, payload)
+            for addr in range(0, size, PAGE_SIZE):
+                assert store.read(addr, PAGE_SIZE) == \
+                    payload[addr:addr + PAGE_SIZE]
+            assert store.read_line(size - 64) == payload[-64:]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * size

@@ -3,9 +3,13 @@
 import pytest
 
 from repro import System, small_system
+from repro.cache.hierarchy import CacheHierarchy
 from repro.common import params
 from repro.common.errors import AlignmentError
 from repro.isa import ops
+from repro.sim.engine import Simulator
+from repro.sim.packet import PacketType
+from repro.sim.stats import StatGroup
 
 CL = 64
 
@@ -324,3 +328,65 @@ class TestBulkCopy:
         with pytest.raises(AlignmentError, match="cacheline-aligned"):
             system.run_program(prog())
         assert system.read_memory(dst, 8192) == bytes(8192)
+
+
+class TestFillEpochs:
+    """An invalidation epoch lives only while a fill that captured it is
+    outstanding, and that fill must still see every invalidation."""
+
+    @pytest.mark.parametrize("copy_op", [ops.bulk_copy, ops.mclazy])
+    def test_table_empty_after_a_drained_copy(self, copy_op):
+        system = build()
+        lines = 64
+        src = system.alloc(lines * CL, align=4096)
+        dst = system.alloc(lines * CL, align=4096)
+        system.backing.fill(src, lines * CL, 0x5C)
+
+        def prog():
+            # Fills of the destination are in flight when the copy
+            # invalidates it, so the copy does bump epochs.
+            for i in range(0, lines * CL, 4 * CL):
+                yield ops.load(dst + i, 8)
+            yield copy_op(dst, src, lines * CL)
+            yield ops.mfence()
+            for i in range(0, lines * CL, CL):
+                yield ops.load(dst + i, 8)
+
+        system.run_program(prog())
+        system.drain()
+        hierarchy = system.hierarchy
+        assert hierarchy._fill_epoch == {}
+        assert hierarchy._epoch_captures == 0
+        assert system.read_memory(dst, lines * CL) == b"\x5C" * (lines * CL)
+
+    def test_invalidated_fill_stays_stale_after_an_unrelated_fill(self):
+        # Drive the hierarchy alone so the packets complete in a chosen
+        # order: x's fill is in flight when an MCLAZY invalidates x, and
+        # y's unrelated fill completes before x's returns.  Releasing
+        # y's capture must not forget x's invalidation.
+        sim = Simulator()
+        sent = []
+        hierarchy = CacheHierarchy(sim, 1, sent.append, StatGroup("caches"),
+                                   prefetch_enabled=False)
+        x, y = 0x1000, 0x2000
+        got = {}
+        hierarchy.load(0, x, 8, lambda data, t: got.setdefault("x", data))
+        hierarchy.load(0, y, 8, lambda data, t: got.setdefault("y", data))
+        read_x, read_y = sent
+        assert read_x.ptype is PacketType.READ and read_x.addr == x
+        hierarchy.handle_mclazy(0, x, 0x3000, CL, lambda t: None)
+        read_y.data = b"\x22" * CL
+        read_y.complete(sim.now)
+        sim.run()
+        assert got["y"] == b"\x22" * 8
+        assert hierarchy.l2.probe(y)
+
+        read_x.data = b"\x11" * CL  # the pre-copy bytes
+        read_x.complete(sim.now)
+        sim.run()
+        # The program-order-older load still gets the older data, but
+        # the stale line is installed nowhere.
+        assert got["x"] == b"\x11" * 8
+        assert not hierarchy.l1s[0].probe(x)
+        assert not hierarchy.l2.probe(x)
+        assert hierarchy._fill_epoch == {}
