@@ -140,8 +140,8 @@ class BackingStore:
     def copy(self, dst: int, src: int, size: int) -> None:
         """Eagerly move ``size`` bytes from ``src`` to ``dst`` (oracle op)."""
         self.write(dst, self.read(src, size))
-        # Poison travels with the data it taints.
-        if self._poisoned:
+        # Poison travels with the data it taints; an empty copy moves none.
+        if self._poisoned and size:
             line = align_down(dst, CACHELINE_SIZE)
             end = dst + size
             while line < end:

@@ -11,7 +11,7 @@ fall outside the capacity or hand ``write_line`` the wrong length: those
 must raise ``AddressError`` and change nothing.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.errors import AddressError
 from repro.common.units import CACHELINE_SIZE, PAGE_SIZE
@@ -51,8 +51,8 @@ class FlatMemory:
         self.write(dst, bytes(self.data[src:src + size]))
         # Each destination line takes the poison of the source bytes it
         # received, in address order (an overlapping copy sees the poison
-        # its earlier lines just took).
-        if self.poisoned:
+        # its earlier lines just took); an empty copy receives none.
+        if self.poisoned and size:
             for line in range(dst - dst % CL, dst + size, CL):
                 lo, hi = max(line, dst), min(line + CL, dst + size)
                 if self.range_poisoned(src + lo - dst, hi - lo):
@@ -172,6 +172,8 @@ def _apply(store, flat, op):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_op, min_size=1, max_size=25))
+# A zero-size copy from a poisoned line to an unaligned destination.
+@example([("poison", (0x1000, CL)), ("copy", 0x2008, (0x1000, 0))])
 def test_backing_store_matches_flat_memory(ops):
     store = BackingStore(CAPACITY)
     flat = FlatMemory(CAPACITY)

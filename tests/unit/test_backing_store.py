@@ -73,6 +73,12 @@ class TestByteAccess:
         store.copy(507, 101, 150)
         assert store.read(507, 150) == payload
 
+    def test_zero_size_copy_moves_no_poison(self, store):
+        store.poison(0x1000)
+        store.copy(0x2008, 0x1000, 0)
+        assert not store.line_poisoned(0x2000)
+        assert store.poisoned_lines == {0x1000}
+
     def test_fill(self, store):
         store.fill(100, 300, 0xCD)
         assert store.read(100, 300) == b"\xCD" * 300
