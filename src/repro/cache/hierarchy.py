@@ -41,6 +41,11 @@ from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketType
 from repro.sim.stats import StatGroup
 
+# Member aliases for the per-line packet paths: reading a member off the
+# Enum class costs a descriptor call, a module global does not.
+_READ = PacketType.READ
+_WRITE = PacketType.WRITE
+
 
 class CacheHierarchy:
     """Per-core L1s over a shared L2, fronting the memory interconnect."""
@@ -313,7 +318,7 @@ class CacheHierarchy:
         tainted = (size < CACHELINE_SIZE
                    and line_addr in self.poisoned_lines)
         self._invalidate_everywhere(line_addr)
-        pkt = Packet(PacketType.WRITE, line_addr, CACHELINE_SIZE,
+        pkt = Packet(_WRITE, line_addr, CACHELINE_SIZE,
                      requestor=core,
                      on_complete=lambda p: on_complete(self.sim.now))
         pkt.data = bytes(merged)
@@ -352,7 +357,7 @@ class CacheHierarchy:
                                  label="clwb-clean")
             return
         self._clwbs.inc()
-        pkt = Packet(PacketType.WRITE, line_addr, CACHELINE_SIZE,
+        pkt = Packet(_WRITE, line_addr, CACHELINE_SIZE,
                      requestor=core,
                      on_complete=lambda p: _done(self.sim.now))
         pkt.data = data
@@ -384,7 +389,7 @@ class CacheHierarchy:
             dirty += 1
             self._clwbs.inc()
             pending["n"] += 1
-            pkt = Packet(PacketType.WRITE, line, CACHELINE_SIZE,
+            pkt = Packet(_WRITE, line, CACHELINE_SIZE,
                          requestor=core,
                          on_complete=lambda p: _one_done())
             pkt.data = data
@@ -469,36 +474,39 @@ class CacheHierarchy:
                                  "size": size})
         self._copy_boundary(core, dst, src, size)
 
-        state = {"next": 0, "pending": 0}  # next line offset, in flight
+        next_offset = 0  # of the next line to issue
+        pending = 0  # lines in flight
         window = 32
 
         def _issue_more() -> None:
-            while state["next"] < size and state["pending"] < window:
-                offset = state["next"]
-                state["next"] += CACHELINE_SIZE
-                state["pending"] += 1
+            nonlocal next_offset, pending
+            while next_offset < size and pending < window:
+                offset = next_offset
+                next_offset += CACHELINE_SIZE
+                pending += 1
                 self._bulk_copy_line(dst + offset, src + offset, _one_done)
-            if state["next"] >= size and state["pending"] == 0:
+            if next_offset >= size and pending == 0:
                 on_complete(self.sim.now)
 
-        def _one_done() -> None:
-            state["pending"] -= 1
+        def _one_done(_wr: Packet) -> None:
+            nonlocal pending
+            pending -= 1
             _issue_more()
 
         _issue_more()
 
     def _bulk_copy_line(self, dst_line: int, src_line: int,
-                        done: Callable[[], None]) -> None:
+                        done: Callable[[Packet], None]) -> None:
+        """Read one source line, then write it to ``dst_line``;
+        ``done`` is the write's completion continuation."""
         def _got_src(pkt: Packet) -> None:
-            wr = Packet(PacketType.WRITE, dst_line, CACHELINE_SIZE,
-                        on_complete=lambda p: done())
+            wr = Packet(_WRITE, dst_line, CACHELINE_SIZE, on_complete=done)
             wr.data = pkt.data or bytes(CACHELINE_SIZE)
             wr.poisoned = pkt.poisoned  # poison travels with copied data
             self._send(wr)
 
-        rd = Packet(PacketType.READ, src_line, CACHELINE_SIZE,
-                    on_complete=_got_src)
-        self._send(rd)
+        self._send(Packet(_READ, src_line, CACHELINE_SIZE,
+                          on_complete=_got_src))
 
     # ----------------------------------------------------------- plumbing
     def _copy_boundary(self, core: int, dst: int, src: int,
@@ -510,7 +518,7 @@ class CacheHierarchy:
                           src + size, CACHELINE_SIZE):
             data = self._clean_scan(line)
             if data is not None:
-                wb = Packet(PacketType.WRITE, line, CACHELINE_SIZE,
+                wb = Packet(_WRITE, line, CACHELINE_SIZE,
                             requestor=core)
                 wb.data = data
                 self._writebacks.inc()
@@ -618,7 +626,7 @@ class CacheHierarchy:
                 self._install(self.l2, victim.addr, bytes(victim.data),
                               dirty=True)
             else:
-                wb = Packet(PacketType.WRITE, victim.addr, CACHELINE_SIZE)
+                wb = Packet(_WRITE, victim.addr, CACHELINE_SIZE)
                 wb.data = bytes(victim.data)
                 self._writebacks.inc()
                 self._send(wb)
@@ -659,7 +667,7 @@ class CacheHierarchy:
             for waiter in waiters_list:
                 waiter(data, self.sim.now)
 
-        pkt = Packet(PacketType.READ, line_addr, CACHELINE_SIZE,
+        pkt = Packet(_READ, line_addr, CACHELINE_SIZE,
                      on_complete=_on_return)
         pkt.is_prefetch = True
         self._send(pkt)
@@ -718,7 +726,7 @@ class CacheHierarchy:
             for waiter in waiters_list:
                 waiter(data, finish)
 
-        pkt = Packet(PacketType.READ, line_addr, CACHELINE_SIZE,
+        pkt = Packet(_READ, line_addr, CACHELINE_SIZE,
                      requestor=core, on_complete=_on_return)
         self._send(pkt)
 
@@ -761,9 +769,11 @@ class CacheHierarchy:
         # Every outbound packet funnels through here, so tagging once
         # covers CLWB drains, eviction writebacks, MCLAZY source flushes
         # and flush_all alike: a write of a poisoned cached line carries
-        # the poison back to memory.
-        if pkt.is_write and not pkt.poisoned \
-                and align_down(pkt.addr, CACHELINE_SIZE) in self.poisoned_lines:
+        # the poison back to memory.  The set is almost always empty, so
+        # it is tested first.
+        poisoned = self.poisoned_lines
+        if poisoned and pkt.ptype is _WRITE and not pkt.poisoned \
+                and align_down(pkt.addr, CACHELINE_SIZE) in poisoned:
             pkt.poisoned = True
         self.send_to_memory(pkt)
 
@@ -772,7 +782,7 @@ class CacheHierarchy:
         """Write back and drop every line (used between experiment phases)."""
         for cache in self._caches:
             for line in cache.dirty_lines():
-                wb = Packet(PacketType.WRITE, line.addr, CACHELINE_SIZE)
+                wb = Packet(_WRITE, line.addr, CACHELINE_SIZE)
                 wb.data = bytes(line.data)
                 self._send(wb)
             cache.clear()

@@ -8,7 +8,7 @@ across banks-interleaved-by-row so that streaming accesses hit open rows.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Dict, NamedTuple, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.units import CACHELINE_SIZE
@@ -18,13 +18,18 @@ class DramLocation(NamedTuple):
     """Decoded location of one cacheline inside the DRAM system.
 
     A named tuple: every DRAM access decodes one, and a tuple is cheap
-    to build while staying immutable and hashable.
+    to build while staying immutable and hashable.  :meth:`AddressMap.decode`
+    builds it with ``tuple.__new__``, skipping the Python-level
+    ``__new__`` the class call runs.
     """
 
     channel: int
     bank: int
     row: int
     column: int
+
+
+_new_tuple = tuple.__new__
 
 
 class AddressMap:
@@ -39,6 +44,9 @@ class AddressMap:
         self.banks_per_channel = banks_per_channel
         self.row_bytes = row_bytes
         self.lines_per_row = row_bytes // CACHELINE_SIZE
+        # Row index -> (bank, row): the bank hash depends on the row
+        # index alone, so it is computed once per row touched.
+        self._bank_rows: Dict[int, Tuple[int, int]] = {}
 
     def channel_of(self, addr: int) -> int:
         """Channel (= memory controller index) owning ``addr``."""
@@ -48,10 +56,19 @@ class AddressMap:
     def decode(self, addr: int) -> DramLocation:
         """Full (channel, bank, row, column) location of ``addr``."""
         line = addr // CACHELINE_SIZE
-        channel = line % self.channels
-        local_line = line // self.channels
-        row_index = local_line // self.lines_per_row
-        column = local_line % self.lines_per_row
+        channels = self.channels
+        local_line = line // channels
+        lines_per_row = self.lines_per_row
+        row_index = local_line // lines_per_row
+        bank_row = self._bank_rows.get(row_index)
+        if bank_row is None:
+            bank_row = self._bank_rows[row_index] = self._bank_row(row_index)
+        bank, row = bank_row
+        return _new_tuple(DramLocation, (line % channels, bank, row,
+                                         local_line % lines_per_row))
+
+    def _bank_row(self, row_index: int) -> Tuple[int, int]:
+        """The (bank, row) a channel-local row index maps to."""
         # Hash the row index into the bank so that streams any fixed
         # stride apart do not persistently alias onto one bank.  Real
         # controllers XOR a selection of row bits; an avalanche mix
@@ -63,6 +80,5 @@ class AddressMap:
         mixed ^= mixed >> 7
         mixed = (mixed * 0x9E3779B1) & 0xFFFFFFFF
         mixed ^= mixed >> 13
-        bank = mixed % self.banks_per_channel
-        row = row_index // self.banks_per_channel
-        return DramLocation(channel, bank, row, column)
+        return (mixed % self.banks_per_channel,
+                row_index // self.banks_per_channel)

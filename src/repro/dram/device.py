@@ -9,7 +9,7 @@ which is what produces bandwidth-bound behaviour (Figs 16b/17b/22).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import List, Optional
 
 from repro.common import params
 from repro.dram.address_map import DramLocation
@@ -30,8 +30,15 @@ class DramChannel:
     """Timing model of one DRAM channel (one per memory controller)."""
 
     def __init__(self, stats: StatGroup, banks: int = params.DRAM_BANKS_PER_CHANNEL):
-        self.banks: Dict[int, Bank] = {b: Bank() for b in range(banks)}
+        self.banks: List[Bank] = [Bank() for _ in range(banks)]
         self.bus_free_at: int = 0
+        # Device latencies of the speed grade in force when the channel
+        # is built (repro.dram.timing.apply_timing rebinds the params
+        # for systems built after it).
+        self._hit_cycles = params.DRAM_ROW_HIT_CYCLES
+        self._miss_cycles = params.DRAM_ROW_MISS_CYCLES
+        self._conflict_cycles = params.DRAM_ROW_CONFLICT_CYCLES
+        self._burst_cycles = params.DRAM_BURST_CYCLES
         self.stats = stats
         self._row_hits = stats.counter("row_hits", "row-buffer hits")
         self._row_misses = stats.counter("row_misses", "closed-row activations")
@@ -62,22 +69,26 @@ class DramChannel:
         the cycle the request reaches the device.
         """
         bank = self.banks[loc.bank]
-        start = max(now, bank.ready_at)
-
-        if bank.open_row is None:
-            device = params.DRAM_ROW_MISS_CYCLES
+        start = bank.ready_at
+        if start < now:
+            start = now
+        burst = self._burst_cycles
+        open_row = bank.open_row
+        row = loc.row
+        if open_row == row:
+            device = self._hit_cycles
+            # Back-to-back CAS to an open row pipeline at tCCD: the bank
+            # accepts the next column command after roughly one burst.
+            occupancy = burst
+            self._row_hits.value += 1
+            kind = "hit"
+        elif open_row is None:
+            device = self._miss_cycles
             occupancy = device  # activation blocks the bank
             self._row_misses.value += 1
             kind = "miss"
-        elif bank.open_row == loc.row:
-            device = params.DRAM_ROW_HIT_CYCLES
-            # Back-to-back CAS to an open row pipeline at tCCD: the bank
-            # accepts the next column command after roughly one burst.
-            occupancy = params.DRAM_BURST_CYCLES
-            self._row_hits.value += 1
-            kind = "hit"
         else:
-            device = params.DRAM_ROW_CONFLICT_CYCLES
+            device = self._conflict_cycles
             # FR-FCFS controllers batch same-row requests before
             # switching, amortizing the precharge+activate over several
             # column accesses.  Our in-order bank cannot reorder, so the
@@ -86,19 +97,21 @@ class DramChannel:
             occupancy = device // 4
             self._row_conflicts.value += 1
             kind = "conflict"
-        bank.open_row = loc.row
+        bank.open_row = row
 
         # Banks overlap their device latency; only the 64B data burst
         # serializes on the shared channel data bus.
-        data_ready = max(start + device, self.bus_free_at)
-        done = data_ready + params.DRAM_BURST_CYCLES
+        data_ready = start + device
+        if data_ready < self.bus_free_at:
+            data_ready = self.bus_free_at
+        done = data_ready + burst
         self.bus_free_at = done
         bank.ready_at = start + occupancy
-        self._busy_cycles.value += params.DRAM_BURST_CYCLES
+        self._busy_cycles.value += burst
         self._accesses.value += 1
         if self._trace is not None:
             self._trace.complete("dram", self._track, "access", start, done,
-                                 {"bank": loc.bank, "row": loc.row,
+                                 {"bank": loc.bank, "row": row,
                                   "kind": kind})
         return done
 

@@ -45,6 +45,12 @@ from repro.sim.stats import StatGroup
 _DELIVER_LABEL = {pt.value: f"xbar-{pt.value}" for pt in PacketType}
 _DUP_LABEL = {pt.value: f"xbar-dup-{pt.value}" for pt in PacketType}
 
+# Member aliases for the per-packet type tests: reading a member off the
+# Enum class costs a descriptor call, a module global does not.
+_MCLAZY = PacketType.MCLAZY
+_MCFREE = PacketType.MCFREE
+_INMEM_COPY = PacketType.INMEM_COPY
+
 #: Canonical same-cycle grant order.  Writebacks first (they must reach
 #: the MC before any control packet issued the same cycle observes the
 #: lines), then CTT control traffic, reads last so a read racing a
@@ -97,7 +103,7 @@ class Interconnect:
         canonical order :func:`_grant_key` defines — not in the order
         same-cycle senders happened to run.
         """
-        self._packets.inc()
+        self._packets.value += 1
         now = self.sim.now
         if self._batch_cycle != now or not self._batch:
             self._batch_cycle = now
@@ -126,7 +132,10 @@ class Interconnect:
             self._deliver(pkt)
 
     def _deliver(self, pkt: Packet) -> None:
-        when = max(self.sim.now + self.hop_cycles, self._last_delivery + 1)
+        sim = self.sim
+        when = sim.now + self.hop_cycles
+        if when <= self._last_delivery:
+            when = self._last_delivery + 1
         duplicate = False
         if self.fault_hook is not None:
             fault = self.fault_hook(pkt)
@@ -134,7 +143,8 @@ class Interconnect:
                 extra_delay, duplicate = fault
                 when += extra_delay
 
-        if pkt.ptype is PacketType.INMEM_COPY:
+        ptype = pkt.ptype
+        if ptype is _INMEM_COPY:
             # In-DRAM copies fan out like control broadcasts, but each
             # controller executes a *share* of the work (the destination
             # lines its channel owns), so delivery is a scatter-join:
@@ -144,7 +154,7 @@ class Interconnect:
             # a replayed copy would only re-apply identical bytes.
             self._deliver_inmem(pkt, when)
             return
-        if pkt.ptype in (PacketType.MCLAZY, PacketType.MCFREE):
+        if ptype is _MCLAZY or ptype is _MCFREE:
             # Broadcast: all CTT replicas observe it; the controller that
             # owns the (first line of the) destination performs the shared
             # mutation and acks the packet.  The broadcast latency is part
@@ -152,20 +162,21 @@ class Interconnect:
             # observe the CTT update, or it would return the destination
             # line's stale pre-copy contents and cache them past the
             # hierarchy's invalidation epoch.
-            self._broadcasts.inc()
+            self._broadcasts.value += 1
             when += params.BROADCAST_CYCLES
         self._last_delivery = when
 
-        owner = self._owner(pkt.addr)
-        self.sim.schedule_at(when, lambda: owner.receive(pkt),
-                             label=_DELIVER_LABEL[pkt.ptype._value_])
+        # Route by channel interleave (AddressMap.channel_of), inlined.
+        owner = self._owners[pkt.addr // CACHELINE_SIZE % self._num_channels]
+        sim.schedule_at(when, lambda: owner.receive(pkt),
+                        label=_DELIVER_LABEL[ptype._value_])
         if duplicate:
             # Link replay: the same packet arrives a second time, still in
             # order (the horizon advances past it).  READ/WRITE handling
             # is idempotent, so the replica only costs bandwidth.
             self._last_delivery = when + 1
-            self.sim.schedule_at(when + 1, lambda: owner.receive(pkt),
-                                 label=_DUP_LABEL[pkt.ptype._value_])
+            sim.schedule_at(when + 1, lambda: owner.receive(pkt),
+                            label=_DUP_LABEL[ptype._value_])
 
     def _deliver_inmem(self, pkt: Packet, when: int) -> None:
         self._broadcasts.inc()
@@ -187,6 +198,3 @@ class Interconnect:
             self.sim.schedule_at(when + slot,
                                  lambda mc=mc, child=child: mc.receive(child),
                                  label=label)
-
-    def _owner(self, addr: int) -> MemoryController:
-        return self._owners[addr // CACHELINE_SIZE % self._num_channels]

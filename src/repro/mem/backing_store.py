@@ -175,7 +175,7 @@ class BackingStore:
 
     def line_poisoned(self, addr: int) -> bool:
         """True when the line containing ``addr`` is poisoned."""
-        return align_down(addr, CACHELINE_SIZE) in self._poisoned
+        return (addr & _LINE_MASK) in self._poisoned
 
     def range_poisoned(self, addr: int, size: int) -> bool:
         """True when any line touching [addr, addr+size) is poisoned."""

@@ -16,6 +16,7 @@ hooks to add CTT and BPQ behaviour.
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import Deque, Dict
 
 from repro.common import params
@@ -26,6 +27,15 @@ from repro.mem.backing_store import BackingStore
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketType
 from repro.sim.stats import StatGroup
+
+# Member aliases for the per-packet type tests: reading a member off the
+# Enum class costs a descriptor call, a module global does not.
+_READ = PacketType.READ
+_WRITE = PacketType.WRITE
+_INMEM_COPY = PacketType.INMEM_COPY
+
+#: Sort key of a pending DRAM request: its canonical grant key.
+_GRANT_KEY = itemgetter(0)
 
 
 class MemoryController:
@@ -63,6 +73,9 @@ class MemoryController:
         # addr -> count of buffered writes covering it (for forwarding).
         self._pending_write_counts: Dict[int, int] = {}
         self._wpq_draining = False
+        # Drain hysteresis watermarks, in entries (see WPQ_DRAIN_HIGH).
+        self._wpq_drain_high = max(1, int(wpq_entries * self.WPQ_DRAIN_HIGH))
+        self._wpq_drain_low = int(wpq_entries * self.WPQ_DRAIN_LOW)
         self._rpq_occupancy = 0
         # Same-cycle DRAM arbitration: single-access requests issued
         # during a cycle accumulate here and are granted channel slots
@@ -90,10 +103,12 @@ class MemoryController:
     # ----------------------------------------------------------- interface
     def receive(self, pkt: Packet) -> None:
         """Accept a packet from the interconnect at the current cycle."""
-        pkt.issued_at = self.sim.now if pkt.issued_at is None else pkt.issued_at
-        if pkt.ptype is PacketType.READ:
+        if pkt.issued_at is None:
+            pkt.issued_at = self.sim.now
+        ptype = pkt.ptype
+        if ptype is _READ:
             self._handle_read(pkt)
-        elif pkt.ptype is PacketType.WRITE:
+        elif ptype is _WRITE:
             self._handle_write(pkt)
         else:
             self._handle_control(pkt)
@@ -111,7 +126,7 @@ class MemoryController:
     # -------------------------------------------------------------- hooks
     def _handle_read(self, pkt: Packet) -> None:
         """Service a read: device access, then complete with data."""
-        self._reads.inc()
+        self._reads.value += 1
         self._service_read_from_memory(pkt)
 
     def _handle_write(self, pkt: Packet) -> None:
@@ -120,7 +135,7 @@ class MemoryController:
 
     def _handle_control(self, pkt: Packet) -> None:
         """Baseline controller ignores (MC)² control packets."""
-        if pkt.ptype is PacketType.INMEM_COPY:
+        if pkt.ptype is _INMEM_COPY:
             self._handle_inmem_copy(pkt)
             return
         self.sim.schedule(1, lambda: pkt.complete(self.sim.now),
@@ -251,9 +266,10 @@ class MemoryController:
 
     def _grant_dram(self) -> None:
         self._dram_grant_armed = False
-        pending, self._dram_pending = self._dram_pending, []
+        pending = self._dram_pending
+        self._dram_pending = []
         if len(pending) > 1:
-            pending.sort(key=lambda req: req[0])
+            pending.sort(key=_GRANT_KEY)
         now = self.sim.now
         for _key, loc, extra, on_grant in pending:
             # ``loc`` is either a decoded DramLocation for an ordinary
@@ -268,27 +284,30 @@ class MemoryController:
     def _service_read_from_memory(self, pkt: Packet,
                                   extra_delay: int = 0) -> None:
         """Run ``pkt`` through the DRAM channel and schedule completion."""
-        arrival = self.sim.now + params.MC_STATIC_LATENCY_CYCLES + extra_delay
+        sim = self.sim
+        backing = self.backing
+        addr = pkt.addr
         # Forward from the WPQ when a buffered write covers this line.
-        if self._pending_write_counts.get(pkt.addr):
-            pkt.data = self.backing.read_line(pkt.addr)
-            pkt.poisoned = self.backing.line_poisoned(pkt.addr)
-            done = arrival + 2  # WPQ CAM forward
-            self.sim.schedule_at(done, lambda: pkt.complete(self.sim.now),
-                                 label="mc-wpq-forward")
-            self._read_latency.record(done - self.sim.now)
+        if self._pending_write_counts.get(addr):
+            pkt.data = backing.read_line(addr)
+            pkt.poisoned = backing.line_poisoned(addr)
+            # WPQ CAM forward
+            done = sim.now + params.MC_STATIC_LATENCY_CYCLES + extra_delay + 2
+            sim.schedule_at(done, lambda: pkt.complete(sim.now),
+                            label="mc-wpq-forward")
+            self._read_latency.record(done - sim.now)
             return
-        loc = self.address_map.decode(pkt.addr)
 
         def _granted(data_ready: int) -> None:
             done = data_ready + params.MC_STATIC_LATENCY_CYCLES
-            pkt.data = self.backing.read_line(pkt.addr)
-            pkt.poisoned = self.backing.line_poisoned(pkt.addr)
-            self._read_latency.record(done - self.sim.now)
-            self.sim.schedule_at(done, lambda: pkt.complete(self.sim.now),
-                                 label="mc-read-done")
+            pkt.data = backing.read_line(addr)
+            pkt.poisoned = backing.line_poisoned(addr)
+            self._read_latency.record(done - sim.now)
+            sim.schedule_at(done, lambda: pkt.complete(sim.now),
+                            label="mc-read-done")
 
-        self.dram_request(loc, (self.DRAM_RANK_READ, pkt.addr, pkt.requestor),
+        self.dram_request(self.address_map.decode(addr),
+                          (self.DRAM_RANK_READ, addr, pkt.requestor),
                           _granted,
                           extra=params.MC_STATIC_LATENCY_CYCLES + extra_delay)
 
@@ -299,44 +318,49 @@ class MemoryController:
         memory contents); the *ack* is what back-pressure delays when the
         WPQ is full.
         """
-        self._writes.inc()
+        self._writes.value += 1
+        addr = pkt.addr
         if pkt.data is not None:
-            self.backing.write_line(pkt.addr, pkt.data)
+            self.backing.write_line(addr, pkt.data)
             if pkt.poisoned:
                 # A poisoned cacheline written back stays known-bad in
                 # memory; only clean data clears the line's poison.
-                self.backing.poison(pkt.addr)
+                self.backing.poison(addr)
         else:
-            pkt.data = self.backing.read_line(pkt.addr)
-            pkt.poisoned = self.backing.line_poisoned(pkt.addr)
-        self._pending_write_counts[pkt.addr] = \
-            self._pending_write_counts.get(pkt.addr, 0) + 1
-        if len(self._wpq) < self.wpq_entries:
-            self._wpq.append(pkt)
-            ack_at = self.sim.now + params.MC_STATIC_LATENCY_CYCLES
-            self.sim.schedule_at(ack_at,
-                                 lambda: pkt.complete(self.sim.now),
-                                 label="mc-write-ack")
+            pkt.data = self.backing.read_line(addr)
+            pkt.poisoned = self.backing.line_poisoned(addr)
+        counts = self._pending_write_counts
+        counts[addr] = counts.get(addr, 0) + 1
+        wpq = self._wpq
+        if len(wpq) < self.wpq_entries:
+            wpq.append(pkt)
+            sim = self.sim
+            sim.schedule_at(sim.now + params.MC_STATIC_LATENCY_CYCLES,
+                            lambda: pkt.complete(sim.now),
+                            label="mc-write-ack")
         else:
             # Full: the write waits outside; its ack is deferred, which
             # back-pressures the sender.
-            self._wpq_rejects.inc()
+            self._wpq_rejects.value += 1
             self._wpq_overflow.append(pkt)
             if self._trace is not None:
                 self._trace.instant("mc", self._track, "wpq-reject",
-                                    {"addr": hex(pkt.addr),
-                                     "wpq": len(self._wpq)})
-        self._kick_wpq_drain()
+                                    {"addr": hex(addr), "wpq": len(wpq)})
+        if not self._wpq_draining:
+            self._kick_wpq_drain()
 
     def _retire_write(self, pkt: Packet) -> None:
         """Bookkeeping when a buffered write leaves the WPQ."""
-        count = self._pending_write_counts.get(pkt.addr, 1) - 1
+        counts = self._pending_write_counts
+        addr = pkt.addr
+        count = counts.get(addr, 1) - 1
         if count <= 0:
-            self._pending_write_counts.pop(pkt.addr, None)
+            counts.pop(addr, None)
         else:
-            self._pending_write_counts[pkt.addr] = count
-        if self._wpq_overflow and len(self._wpq) < self.wpq_entries:
-            promoted = self._wpq_overflow.popleft()
+            counts[addr] = count
+        overflow = self._wpq_overflow
+        if overflow and len(self._wpq) < self.wpq_entries:
+            promoted = overflow.popleft()
             self._wpq.append(promoted)
             promoted.complete(self.sim.now)
 
@@ -348,10 +372,7 @@ class MemoryController:
     WPQ_DRAIN_LOW = 0.25
 
     def _kick_wpq_drain(self) -> None:
-        if self._wpq_draining:
-            return
-        if len(self._wpq) < max(1, int(self.wpq_entries
-                                       * self.WPQ_DRAIN_HIGH)):
+        if self._wpq_draining or len(self._wpq) < self._wpq_drain_high:
             return
         self._wpq_draining = True
         if self._trace is not None:
@@ -365,19 +386,23 @@ class MemoryController:
                           phase=1)
 
     def _drain_one_write(self) -> None:
-        low = int(self.wpq_entries * self.WPQ_DRAIN_LOW)
-        if not self._wpq or (len(self._wpq) <= low
-                             and not self._wpq_overflow):
+        wpq = self._wpq
+        if not wpq or (len(wpq) <= self._wpq_drain_low
+                       and not self._wpq_overflow):
             self._wpq_draining = False
             return
-        pkt = self._wpq.popleft()
+        pkt = wpq.popleft()
         self._retire_write(pkt)
-        loc = self.address_map.decode(pkt.addr)
-        self._write_drains.inc()
-        self.dram_request(
-            loc, (self.DRAM_RANK_DRAIN, pkt.addr),
-            lambda done: self.sim.schedule_at(done, self._drain_one_write,
-                                              label="mc-wpq-next", phase=1))
+        addr = pkt.addr
+        self._write_drains.value += 1
+        self.dram_request(self.address_map.decode(addr),
+                          (self.DRAM_RANK_DRAIN, addr), self._drain_granted)
+
+    def _drain_granted(self, done: int) -> None:
+        """The drained write's DRAM slot is granted: pump the next one
+        when its access completes."""
+        self.sim.schedule_at(done, self._drain_one_write,
+                             label="mc-wpq-next", phase=1)
 
     def drain_wpq_fully(self) -> None:
         """Flush every buffered write (used when quiescing the system)."""

@@ -495,6 +495,7 @@ class Simulator:
         # branches, events_fired flushed once on the way out.
         ring = self._ring
         mask = self._mask
+        day = self._day
         busy = self._busy
         far = self._far
         fired = 0
@@ -513,12 +514,15 @@ class Simulator:
                         return self.now
                     lst = ring[c & mask]
                     if not lst:
-                        c = self._next_busy(c, until)
+                        # _next_busy inlined: one wrapped find() over
+                        # the occupancy map.  A busy cycle past `until`
+                        # returns below.
+                        start = c & mask
+                        slot = busy.find(1, start)
+                        if slot < 0:
+                            slot = busy.find(1, 0, start) + day
+                        c += slot - start
                         lst = ring[c & mask]
-                        if not lst:
-                            # Nothing left at or before the horizon.
-                            self.now = until
-                            return until
                     if until is not None and c > until:
                         self.now = until
                         return until
@@ -632,6 +636,7 @@ class Simulator:
         """
         ring = self._ring
         mask = self._mask
+        day = self._day
         busy = self._busy
         far = self._far
         clock = self._profile_clock
@@ -648,11 +653,12 @@ class Simulator:
                         return self.now
                     lst = ring[c & mask]
                     if not lst:
-                        c = self._next_busy(c, until)
+                        start = c & mask
+                        slot = busy.find(1, start)
+                        if slot < 0:
+                            slot = busy.find(1, 0, start) + day
+                        c += slot - start
                         lst = ring[c & mask]
-                        if not lst:
-                            self.now = until
-                            return until
                     if until is not None and c > until:
                         self.now = until
                         return until
