@@ -38,13 +38,8 @@ from repro.common.units import CACHELINE_SIZE, align_down
 from repro.cache.cache import Cache, CacheLine
 from repro.cache.prefetcher import StridePrefetcher
 from repro.sim.engine import Simulator
-from repro.sim.packet import Packet, PacketType
+from repro.sim.packet import READ, WRITE, Packet, PacketType
 from repro.sim.stats import StatGroup
-
-# Member aliases for the per-line packet paths: reading a member off the
-# Enum class costs a descriptor call, a module global does not.
-_READ = PacketType.READ
-_WRITE = PacketType.WRITE
 
 
 class CacheHierarchy:
@@ -318,7 +313,7 @@ class CacheHierarchy:
         tainted = (size < CACHELINE_SIZE
                    and line_addr in self.poisoned_lines)
         self._invalidate_everywhere(line_addr)
-        pkt = Packet(_WRITE, line_addr, CACHELINE_SIZE,
+        pkt = Packet(WRITE, line_addr, CACHELINE_SIZE,
                      requestor=core,
                      on_complete=lambda p: on_complete(self.sim.now))
         pkt.data = bytes(merged)
@@ -357,7 +352,7 @@ class CacheHierarchy:
                                  label="clwb-clean")
             return
         self._clwbs.inc()
-        pkt = Packet(_WRITE, line_addr, CACHELINE_SIZE,
+        pkt = Packet(WRITE, line_addr, CACHELINE_SIZE,
                      requestor=core,
                      on_complete=lambda p: _done(self.sim.now))
         pkt.data = data
@@ -389,7 +384,7 @@ class CacheHierarchy:
             dirty += 1
             self._clwbs.inc()
             pending["n"] += 1
-            pkt = Packet(_WRITE, line, CACHELINE_SIZE,
+            pkt = Packet(WRITE, line, CACHELINE_SIZE,
                          requestor=core,
                          on_complete=lambda p: _one_done())
             pkt.data = data
@@ -500,12 +495,12 @@ class CacheHierarchy:
         """Read one source line, then write it to ``dst_line``;
         ``done`` is the write's completion continuation."""
         def _got_src(pkt: Packet) -> None:
-            wr = Packet(_WRITE, dst_line, CACHELINE_SIZE, on_complete=done)
+            wr = Packet(WRITE, dst_line, CACHELINE_SIZE, on_complete=done)
             wr.data = pkt.data or bytes(CACHELINE_SIZE)
             wr.poisoned = pkt.poisoned  # poison travels with copied data
             self._send(wr)
 
-        self._send(Packet(_READ, src_line, CACHELINE_SIZE,
+        self._send(Packet(READ, src_line, CACHELINE_SIZE,
                           on_complete=_got_src))
 
     # ----------------------------------------------------------- plumbing
@@ -518,7 +513,7 @@ class CacheHierarchy:
                           src + size, CACHELINE_SIZE):
             data = self._clean_scan(line)
             if data is not None:
-                wb = Packet(_WRITE, line, CACHELINE_SIZE,
+                wb = Packet(WRITE, line, CACHELINE_SIZE,
                             requestor=core)
                 wb.data = data
                 self._writebacks.inc()
@@ -626,7 +621,7 @@ class CacheHierarchy:
                 self._install(self.l2, victim.addr, bytes(victim.data),
                               dirty=True)
             else:
-                wb = Packet(_WRITE, victim.addr, CACHELINE_SIZE)
+                wb = Packet(WRITE, victim.addr, CACHELINE_SIZE)
                 wb.data = bytes(victim.data)
                 self._writebacks.inc()
                 self._send(wb)
@@ -667,7 +662,7 @@ class CacheHierarchy:
             for waiter in waiters_list:
                 waiter(data, self.sim.now)
 
-        pkt = Packet(_READ, line_addr, CACHELINE_SIZE,
+        pkt = Packet(READ, line_addr, CACHELINE_SIZE,
                      on_complete=_on_return)
         pkt.is_prefetch = True
         self._send(pkt)
@@ -726,7 +721,7 @@ class CacheHierarchy:
             for waiter in waiters_list:
                 waiter(data, finish)
 
-        pkt = Packet(_READ, line_addr, CACHELINE_SIZE,
+        pkt = Packet(READ, line_addr, CACHELINE_SIZE,
                      requestor=core, on_complete=_on_return)
         self._send(pkt)
 
@@ -772,7 +767,7 @@ class CacheHierarchy:
         # the poison back to memory.  The set is almost always empty, so
         # it is tested first.
         poisoned = self.poisoned_lines
-        if poisoned and pkt.ptype is _WRITE and not pkt.poisoned \
+        if poisoned and pkt.ptype is WRITE and not pkt.poisoned \
                 and align_down(pkt.addr, CACHELINE_SIZE) in poisoned:
             pkt.poisoned = True
         self.send_to_memory(pkt)
@@ -782,7 +777,7 @@ class CacheHierarchy:
         """Write back and drop every line (used between experiment phases)."""
         for cache in self._caches:
             for line in cache.dirty_lines():
-                wb = Packet(_WRITE, line.addr, CACHELINE_SIZE)
+                wb = Packet(WRITE, line.addr, CACHELINE_SIZE)
                 wb.data = bytes(line.data)
                 self._send(wb)
             cache.clear()

@@ -33,7 +33,7 @@ from repro.common import params
 from repro.common.units import CACHELINE_SIZE
 from repro.memctrl.controller import MemoryController
 from repro.sim.engine import Simulator
-from repro.sim.packet import Packet, PacketType
+from repro.sim.packet import INMEM_COPY, MCFREE, MCLAZY, Packet, PacketType
 from repro.sim.stats import StatGroup
 
 # The per-packet tables below are keyed by a packet type's ``_value_``
@@ -44,12 +44,6 @@ from repro.sim.stats import StatGroup
 #: an f-string per delivery showed up in the exhibit profiles.
 _DELIVER_LABEL = {pt.value: f"xbar-{pt.value}" for pt in PacketType}
 _DUP_LABEL = {pt.value: f"xbar-dup-{pt.value}" for pt in PacketType}
-
-# Member aliases for the per-packet type tests: reading a member off the
-# Enum class costs a descriptor call, a module global does not.
-_MCLAZY = PacketType.MCLAZY
-_MCFREE = PacketType.MCFREE
-_INMEM_COPY = PacketType.INMEM_COPY
 
 #: Canonical same-cycle grant order.  Writebacks first (they must reach
 #: the MC before any control packet issued the same cycle observes the
@@ -144,7 +138,7 @@ class Interconnect:
                 when += extra_delay
 
         ptype = pkt.ptype
-        if ptype is _INMEM_COPY:
+        if ptype is INMEM_COPY:
             # In-DRAM copies fan out like control broadcasts, but each
             # controller executes a *share* of the work (the destination
             # lines its channel owns), so delivery is a scatter-join:
@@ -154,7 +148,7 @@ class Interconnect:
             # a replayed copy would only re-apply identical bytes.
             self._deliver_inmem(pkt, when)
             return
-        if ptype is _MCLAZY or ptype is _MCFREE:
+        if ptype is MCLAZY or ptype is MCFREE:
             # Broadcast: all CTT replicas observe it; the controller that
             # owns the (first line of the) destination performs the shared
             # mutation and acks the packet.  The broadcast latency is part

@@ -25,14 +25,8 @@ from repro.dram.address_map import AddressMap
 from repro.dram.device import DramChannel
 from repro.mem.backing_store import BackingStore
 from repro.sim.engine import Simulator
-from repro.sim.packet import Packet, PacketType
+from repro.sim.packet import INMEM_COPY, READ, WRITE, Packet
 from repro.sim.stats import StatGroup
-
-# Member aliases for the per-packet type tests: reading a member off the
-# Enum class costs a descriptor call, a module global does not.
-_READ = PacketType.READ
-_WRITE = PacketType.WRITE
-_INMEM_COPY = PacketType.INMEM_COPY
 
 #: Sort key of a pending DRAM request: its canonical grant key.
 _GRANT_KEY = itemgetter(0)
@@ -106,9 +100,9 @@ class MemoryController:
         if pkt.issued_at is None:
             pkt.issued_at = self.sim.now
         ptype = pkt.ptype
-        if ptype is _READ:
+        if ptype is READ:
             self._handle_read(pkt)
-        elif ptype is _WRITE:
+        elif ptype is WRITE:
             self._handle_write(pkt)
         else:
             self._handle_control(pkt)
@@ -135,7 +129,7 @@ class MemoryController:
 
     def _handle_control(self, pkt: Packet) -> None:
         """Baseline controller ignores (MC)² control packets."""
-        if pkt.ptype is _INMEM_COPY:
+        if pkt.ptype is INMEM_COPY:
             self._handle_inmem_copy(pkt)
             return
         self.sim.schedule(1, lambda: pkt.complete(self.sim.now),

@@ -25,6 +25,16 @@ class PacketType(enum.Enum):
     INMEM_COPY = "inmem_copy"    # in-DRAM row copy (RowClone / mirroring)
 
 
+# The members as module globals, for the per-packet type tests and
+# constructions on the memory side's hot paths: reading a member off the
+# Enum class costs a descriptor call, a module global does not.
+READ = PacketType.READ
+WRITE = PacketType.WRITE
+MCLAZY = PacketType.MCLAZY
+MCFREE = PacketType.MCFREE
+INMEM_COPY = PacketType.INMEM_COPY
+
+
 class Packet:
     """One memory-system transaction.
 
@@ -97,12 +107,12 @@ class Packet:
     @property
     def is_read(self) -> bool:
         """True for READ packets."""
-        return self.ptype is PacketType.READ
+        return self.ptype is READ
 
     @property
     def is_write(self) -> bool:
         """True for WRITE packets."""
-        return self.ptype is PacketType.WRITE
+        return self.ptype is WRITE
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         extra = f", src={self.src_addr:#x}" if self.src_addr is not None else ""
