@@ -340,8 +340,7 @@ class MemoryController:
             if self._trace is not None:
                 self._trace.instant("mc", self._track, "wpq-reject",
                                     {"addr": hex(addr), "wpq": len(wpq)})
-        if not self._wpq_draining:
-            self._kick_wpq_drain()
+        self._kick_wpq_drain()
 
     def _retire_write(self, pkt: Packet) -> None:
         """Bookkeeping when a buffered write leaves the WPQ."""
