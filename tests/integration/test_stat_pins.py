@@ -13,6 +13,13 @@ flush/invalidate boundary has real holders to visit.
 a 2 MB huge-page region, then store into it, so the kernel's bulk copy
 moves all 32,768 lines of the page through a saturated write queue.
 
+The ``mclazy-*`` cases pin the (MC)² controller paths the goldens do
+not reach: source writes parked in the BPQ while their dependent lines
+materialize, double bounces off a misaligned source (``mclazy-bpq-64k``);
+MCLAZY stalls on a full CTT, asynchronous frees and redirected chained
+copies (``mclazy-ctt-full``); and a destination line with two sources,
+copied at insert (``mclazy-eager-line``).
+
 The final cycle, the events fired and the whole ``stats.flatten()``
 tree must equal the checked-in JSON.
 
@@ -28,7 +35,8 @@ from typing import Callable, Dict, Iterator
 
 import pytest
 
-from repro.common.units import CACHELINE_SIZE, HUGE_PAGE_SIZE, KB
+from repro import System, small_system
+from repro.common.units import CACHELINE_SIZE, HUGE_PAGE_SIZE, KB, PAGE_SIZE
 from repro.isa import ops
 from repro.workloads.common import build_machine
 from repro.workloads.hugepage import HugePageCowWorkload
@@ -113,10 +121,109 @@ def _run_cow_eager_2m() -> Dict[str, object]:
     return _record(system, finish)
 
 
+def _pattern(size: int, seed: int) -> bytes:
+    return bytes((i * 7 + seed) & 0xFF for i in range(size))
+
+
+def _run_mclazy_bpq_64k() -> Dict[str, object]:
+    """A 64 KB lazy copy from a source 16 B past a page, then an 8 B
+    store and a CLWB to every fourth source line, then loads of every
+    eighth destination line that is still tracked."""
+    system, backend = build_machine("mclazy")
+    src = system.alloc(SIZE + PAGE_SIZE, align=PAGE_SIZE) + 16
+    dst = system.alloc(SIZE, align=PAGE_SIZE)
+    data = _pattern(SIZE, 3)
+    system.backing.write(src, data)
+    stored = bytearray(data)
+
+    def program() -> Iterator[ops.Op]:
+        yield from backend.copy_ops(dst, src, SIZE)
+        for off in range(0, SIZE, 4 * CACHELINE_SIZE):
+            stored[off:off + 8] = b"\xa5" * 8
+            yield ops.store(src + off, 8, data=b"\xa5" * 8)
+            yield ops.clwb(src + off)
+        # Line 2 of every eight: no source write materialized it.
+        for off in range(2 * CACHELINE_SIZE, SIZE, 8 * CACHELINE_SIZE):
+            yield ops.load(dst + off, 8)
+        yield ops.mfence()
+
+    finish = system.run_program(program())
+    system.drain()
+    assert system.read_memory(dst, SIZE) == data
+    assert system.read_memory(src, SIZE) == stored
+    return _record(system, finish)
+
+
+#: Copies and size of the ``mclazy-ctt-full`` case.
+FULL_COPIES = 8
+FULL_SIZE = 4 * KB
+
+
+def _run_mclazy_ctt_full() -> Dict[str, object]:
+    """Eight 4 KB lazy copies into a 2-entry CTT, one chained copy out
+    of the last destination, then a store and a CLWB to the last copy's
+    source."""
+    system = System(small_system(ctt_entries=2))
+    backend = system.copy_backend("mclazy")
+    pairs = []
+    for i in range(FULL_COPIES):
+        src = system.alloc(FULL_SIZE, align=PAGE_SIZE)
+        dst = system.alloc(FULL_SIZE, align=PAGE_SIZE)
+        system.backing.write(src, _pattern(FULL_SIZE, i))
+        pairs.append((dst, src))
+    chained = system.alloc(FULL_SIZE, align=PAGE_SIZE)
+    last_dst, last_src = pairs[-1]
+
+    def program() -> Iterator[ops.Op]:
+        for dst, src in pairs:
+            yield from backend.copy_ops(dst, src, FULL_SIZE)
+        yield from backend.copy_ops(chained, last_dst, FULL_SIZE)
+        yield ops.store(last_src, 8, data=b"\x5a" * 8)
+        yield ops.clwb(last_src)
+        yield ops.mfence()
+
+    finish = system.run_program(program())
+    system.drain()
+    for i, (dst, _src) in enumerate(pairs):
+        assert system.read_memory(dst, FULL_SIZE) == _pattern(FULL_SIZE, i)
+    assert system.read_memory(chained, FULL_SIZE) == \
+        _pattern(FULL_SIZE, FULL_COPIES - 1)
+    assert system.read_memory(last_src, 8) == b"\x5a" * 8
+    return _record(system, finish)
+
+
+def _run_mclazy_eager_line() -> Dict[str, object]:
+    """A 1 KB lazy copy, then a 1 KB lazy copy whose source starts
+    520 B into the first destination: the destination line holding the
+    end of the redirected part draws from two sources."""
+    system, backend = build_machine("mclazy")
+    first_src = system.alloc(KB, align=PAGE_SIZE)
+    first_dst = system.alloc(2 * KB, align=PAGE_SIZE)
+    second_dst = system.alloc(KB, align=PAGE_SIZE)
+    system.backing.write(first_src, _pattern(KB, 11))
+    system.backing.write(first_dst, _pattern(2 * KB, 29))
+
+    def program() -> Iterator[ops.Op]:
+        yield from backend.copy_ops(first_dst, first_src, KB)
+        yield from backend.copy_ops(second_dst, first_dst + 520, KB)
+        yield ops.mfence()
+
+    finish = system.run_program(program())
+    system.drain()
+    image = bytearray(_pattern(2 * KB, 29))
+    image[:KB] = _pattern(KB, 11)
+    assert system.read_memory(first_dst, 2 * KB) == image
+    assert system.read_memory(second_dst, KB) == image[520:520 + KB]
+    return _record(system, finish)
+
+
 #: Pin name -> the run that produces it.
 CASES: Dict[str, Callable[[], Dict[str, object]]] = {
     "cow-eager-2m": _run_cow_eager_2m,
     "eager-kernel-64k": lambda: _run_copy_64k("eager", kernel=True),
+    "mclazy-bpq-64k": _run_mclazy_bpq_64k,
+    "mclazy-ctt-full": _run_mclazy_ctt_full,
+    "mclazy-eager-line": _run_mclazy_eager_line,
     "mirror-64k": lambda: _run_copy_64k("mirror"),
     "rowclone-64k": lambda: _run_copy_64k("rowclone"),
 }
