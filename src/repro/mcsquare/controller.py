@@ -747,14 +747,15 @@ class McSquareController(MemoryController):
             return when
         visited.add(line)
         for dep in self.ctt.dest_lines_for_source(line, CACHELINE_SIZE):
-            if self.ctt.lookup_dest_line(dep) is None:
+            # A self-sourcing line is left to the caller, which rewrites
+            # ``line`` after every other dependent has read its old bytes.
+            if dep == line or self.ctt.lookup_dest_line(dep) is None:
                 continue
             when = self._resolve_dependents_of(dep, when, visited)
-            # Re-fetch after recursing: a self-sourcing entry (its source
-            # range overlaps its own destination) appears among its *own*
-            # dependents, so the recursion can materialize and remove it.
-            # A stale pre-recursion snapshot would re-materialize ``dep``
-            # from the bytes the first write just landed.
+            # Re-fetch after recursing: a dependency cycle through other
+            # lines can materialize and remove ``dep`` inside the
+            # recursion, and a stale snapshot would write it a second
+            # time from bytes that have since been overwritten.
             entry = self.ctt.lookup_dest_line(dep)
             if entry is None:
                 continue

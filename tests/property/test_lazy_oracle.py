@@ -11,7 +11,7 @@ overlap/redirect/merge logic, the BPQ parking, the bounce writebacks, or
 the async free engine dropped or reordered a copy, some byte diverges.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import System, small_system
 from repro.common.units import CACHELINE_SIZE, PAGE_SIZE
@@ -126,6 +126,15 @@ def run_case(steps, bpq_entries=4, ctt_entries=256, bounce_writeback=True):
 
 @settings(max_examples=40, deadline=None)
 @given(program_steps())
+# The second copy's source runs through the first copy's destination
+# while its destination overwrites the first copy's source.  Split at
+# the 4 KB page at 0x3000:
+@example([("lazy_copy", 0x100, 0x2FC0, 256),
+          ("lazy_copy", 0x2F00, 0x8, 448)])
+# No page split: the insert tracks 0x2E80 <- 0x2E88, a line that sources
+# from itself, and copies 0x2EC0 eagerly.
+@example([("lazy_copy", 0x2F00, 0x2E80, 128),
+          ("lazy_copy", 0x2E80, 0x2F08, 128)])
 def test_lazy_memcpy_equals_eager_oracle(steps):
     run_case(steps)
 
