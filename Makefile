@@ -24,12 +24,13 @@ bench-full:
 
 # The representative exhibits CI tracks (the Fig. 12 and Fig. 21
 # sweeps, the copy overhead of Fig. 2, the interposer, kernel COW and
-# pipe copy paths of Figs. 14, 18 and 19, and the 8-thread write-heavy
+# pipe copy paths of Figs. 14, 18 and 19, the 8-thread write-heavy
 # MVCC runs of Figs. 16 and 17, whose bandwidth-bound asserts load the
-# WPQ drain path), then the events/sec gate against
+# WPQ drain path, and the chained copies, CTT-full stalls and parallel
+# async frees of Figs. 15, 20 and 22), then the events/sec gate against
 # benchmarks/bench-baseline.json.
 bench-smoke:
-	REPRO_JOBS=2 $(PYTHON) -m pytest benchmarks/test_fig12_seq_access.py benchmarks/test_fig21_bpq_sweep.py benchmarks/test_fig14_protobuf.py benchmarks/test_fig18_hugepage_cow.py benchmarks/test_fig19_pipe.py benchmarks/test_fig02_copy_overhead.py benchmarks/test_fig16_mvcc_rmw.py benchmarks/test_fig17_mvcc_writeonly.py -x -q -p no:cacheprovider
+	REPRO_JOBS=2 $(PYTHON) -m pytest benchmarks/test_fig12_seq_access.py benchmarks/test_fig21_bpq_sweep.py benchmarks/test_fig14_protobuf.py benchmarks/test_fig18_hugepage_cow.py benchmarks/test_fig19_pipe.py benchmarks/test_fig02_copy_overhead.py benchmarks/test_fig16_mvcc_rmw.py benchmarks/test_fig17_mvcc_writeonly.py benchmarks/test_fig15_mongodb.py benchmarks/test_fig20_ctt_sweep.py benchmarks/test_fig22_ctt_free_scaling.py -x -q -p no:cacheprovider
 	$(PYTHON) -m repro.perf gate
 
 # Re-record the machine-normalized perf baseline (run on an idle box).

@@ -2,7 +2,7 @@
 
 PR 1 introduced line-granular *poison*: a detected-uncorrectable ECC
 error marks its cacheline known-bad, and every data-movement path —
-bounce reconstruction, materialization, BPQ park/drain, eager fallback —
+bounce reconstruction, materialization, BPQ park/drain, eager lines —
 must carry that mark with the bytes so corruption is contained, never
 laundered back into clean data.  The containment oracle can only catch a
 path that a test exercises; this pass closes the gap *statically* by

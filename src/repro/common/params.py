@@ -29,6 +29,7 @@ CTT_LEAKAGE_MW = 33.8        # CACTI, reported for context only
 CTT_MAX_COPY_SIZE = 2 * MB   # 21-bit size field tracks up to a huge page
 CTT_COPY_THRESHOLD = 0.50    # async freeing starts at 50% occupancy
 CTT_PARALLEL_FREES = 4       # entries freed in parallel per MC (Fig 22)
+CTT_RETRY_CYCLES = 50        # MCLAZY retry interval while it stalls
 WPQ_REJECT_THRESHOLD = 0.75  # dest writeback rejected when WPQ >75% full
 
 # ------------------------------------------------------- cache hierarchy
@@ -70,14 +71,6 @@ INTERCONNECT_HOP_CYCLES = 12      # LLC <-> MC traversal, one way
 BROADCAST_CYCLES = 16             # CTT update broadcast / snoop
 
 # ----------------------------------------------- robustness / fault model
-# Degradation budgets are *opt-in*: the defaults in SystemConfig keep the
-# paper's unbounded-retry behaviour; these constants are the recommended
-# values when bounded degradation is enabled (tests, --inject runs).
-CTT_RETRY_CYCLES = 50             # MCLAZY retry interval on a full CTT
-CTT_RETRY_LIMIT = 64              # bounded-retry budget before eager fallback
-CTT_RETRY_BACKOFF_CAP = 16        # exponential-backoff multiplier ceiling
-BPQ_OVERFLOW_TIMEOUT_CYCLES = 4000  # overflowed source write waits this long
-                                    # before dependents are resolved eagerly
 LINK_RETRY_CYCLES = 200           # CRC-detected link fault: retransmission
                                   # delay (CXL/DDR links retry in-order)
 WATCHDOG_CHECK_EVERY_EVENTS = 50_000  # watchdog progress-check granularity

@@ -1,4 +1,4 @@
-"""Fault injection, poison propagation, and graceful degradation.
+"""Fault injection, poison propagation, and the livelock watchdog.
 
 This package makes the repro *falsifiable under failure*: instead of only
 showing that lazy copies are bit-identical to eager ones on a healthy

@@ -22,20 +22,25 @@ with the paper's three mechanisms (§III):
 Timing is charged on the owning channels through the shared simulator, so
 background copies contend for DRAM bandwidth with demand traffic, exactly
 the trade-off §III-A1 discusses.
+
+Every mechanism resolves a destination line the same way: read its 64 B
+source window with the window's poison (:meth:`_read_window`), charge
+DRAM on the owning channels, then land the line (:meth:`_land`): write
+it, carry the poison and stop tracking it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Tuple
 
 from repro.common import params
 from repro.common.units import CACHELINE_SIZE, align_down
 from repro.dram.address_map import AddressMap
 from repro.mem.backing_store import BackingStore
 from repro.memctrl.controller import MemoryController
-from repro.mcsquare.bpq import BouncePendingQueue
-from repro.mcsquare.ctt import CopyTrackingTable, CttEntry
+from repro.mcsquare.bpq import BouncePendingQueue, BpqEntry
+from repro.mcsquare.ctt import CopyTrackingTable, CttEntry, window_lines
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketType
 from repro.sim.stats import StatGroup
@@ -59,9 +64,6 @@ class McSquareController(MemoryController):
         eager_async_copies: bool = False,
         wpq_entries: int = params.MC_WPQ_ENTRIES,
         rpq_entries: int = params.MC_RPQ_ENTRIES,
-        ctt_retry_cycles: int = params.CTT_RETRY_CYCLES,
-        ctt_retry_limit: Optional[int] = None,
-        bpq_overflow_timeout: Optional[int] = None,
         inmem_layout: str = "hash",
         inmem_subarray_rows: int = params.ROWCLONE_SUBARRAY_ROWS,
     ):
@@ -76,15 +78,6 @@ class McSquareController(MemoryController):
         self.copy_threshold = copy_threshold
         self.parallel_frees = parallel_frees
         self.bounce_writeback = bounce_writeback
-        # Graceful-degradation budgets.  Both default to None (= the
-        # paper's behaviour: retry a full CTT forever at a flat interval,
-        # hold overflowed source writes indefinitely).  A finite retry
-        # limit turns on exponential backoff and, once exhausted, an
-        # eager MC-side copy; a finite overflow timeout resolves the
-        # blocking copies eagerly so the stalled write can land.
-        self.ctt_retry_cycles = ctt_retry_cycles
-        self.ctt_retry_limit = ctt_retry_limit
-        self.bpq_overflow_timeout = bpq_overflow_timeout
         # §VI extension: a copy engine drains the CTT continuously rather
         # than waiting for the 50% threshold (fully asynchronous copies).
         self.eager_async_copies = eager_async_copies
@@ -121,12 +114,6 @@ class McSquareController(MemoryController):
         self._eager_boundary_lines = stats.counter(
             "eager_boundary_lines", "mixed-source lines resolved at insert")
         self._mcfrees = stats.counter("mcfrees", "MCFREE hints processed")
-        self._ctt_full_fallbacks = stats.counter(
-            "ctt_full_fallbacks",
-            "MCLAZY packets degraded to eager MC-side copies")
-        self._bpq_overflow_fallbacks = stats.counter(
-            "bpq_overflow_fallbacks",
-            "overflowed source writes unblocked by eager resolution")
         self._poison_propagations = stats.counter(
             "poison_propagations",
             "destination lines poisoned because their source was")
@@ -171,9 +158,7 @@ class McSquareController(MemoryController):
         self._reads.inc()
         self._bounces.inc()
         src_start = entry.src_for_dst(line)
-        src_lines = sorted({align_down(src_start, CACHELINE_SIZE),
-                            align_down(src_start + CACHELINE_SIZE - 1,
-                                       CACHELINE_SIZE)})
+        src_lines = window_lines(src_start)
         if len(src_lines) == 2:
             self._double_bounces.inc()
         trace = self._trace
@@ -185,11 +170,8 @@ class McSquareController(MemoryController):
                                  f"copy:{entry.copy_id}",
                                  {"line": hex(line)})
 
-        # Functional: compose the line from pre-write memory.  Poison is
-        # sampled with the data: a DUE anywhere in the source window makes
-        # the reconstructed line known-bad.
-        data = self.backing.read(src_start, CACHELINE_SIZE)
-        poisoned = self.backing.range_poisoned(src_start, CACHELINE_SIZE)
+        # Functional: compose the line from pre-write memory.
+        data, poisoned = self._read_window(src_start)
         issued_at = self.sim.now
 
         def _read_next(index: int) -> None:
@@ -248,11 +230,7 @@ class McSquareController(MemoryController):
             if self.ctt.source_overlaps(line, CACHELINE_SIZE):
                 self._bounce_dropped.inc()  # D became someone's source
                 return
-            self.backing.write_line(line, data)
-            if poisoned:
-                self.backing.poison(line)
-                self._poison_propagations.inc()
-            self.ctt.remove_dest_range(line, CACHELINE_SIZE)
+            self._land(line, data, poisoned)
             self._broadcast_update()
             self._bounce_writebacks.inc()
             if self._trace is not None:
@@ -291,23 +269,12 @@ class McSquareController(MemoryController):
                 # here would make the count depend on whether that drain
                 # dispatched before or after this handler.
                 self._bpq_overflow.append((self.sim.now, pkt))
-                if self.bpq_overflow_timeout is not None:
-                    # Degradation: don't wait forever for a slot — after
-                    # the timeout, eagerly resolve the copies backed by
-                    # this line so the write can land without parking.
-                    self.sim.schedule(
-                        self.bpq_overflow_timeout,
-                        lambda: self._overflow_deadline(pkt),
-                        label="bpq-overflow-deadline")
                 return  # ack (and hence CLWB completion) is delayed
             self._park_source_write(pkt, line)
             return
 
         # Writes to a tracked destination stop the tracking.
-        if self.ctt.lookup_dest_line(line) is not None:
-            trimmed = self.ctt.remove_dest_range(line, CACHELINE_SIZE)
-            self._dest_write_untracks.inc(trimmed)
-            self._broadcast_update()
+        if self._untrack_written(line):
             self._drain_ready_bpq_entries()
         self._accept_write(pkt)
 
@@ -318,17 +285,21 @@ class McSquareController(MemoryController):
         ack = self.sim.now + params.MC_STATIC_LATENCY_CYCLES
         self.sim.schedule_at(ack, lambda: pkt.complete(self.sim.now),
                              label="bpq-park-ack")
-
-        dest_lines = self.ctt.dest_lines_for_source(line, CACHELINE_SIZE)
-        entry.pending_copies = len(dest_lines)
-        if not dest_lines:
+        if not self._materialize_parked(entry):
             self._drain_ready_bpq_entries()
-            return
+
+    def _materialize_parked(self, entry: BpqEntry) -> bool:
+        """Schedule a copy of every destination line that still reads the
+        parked line; False when there is none."""
+        dest_lines = self.ctt.dest_lines_for_source(entry.line,
+                                                    CACHELINE_SIZE)
+        entry.pending_copies = len(dest_lines)
         when = self.sim.now + params.CTT_LATENCY_CYCLES
         for dest_line in dest_lines:
             when = self._schedule_materialize(
                 dest_line, when,
                 on_done=lambda: self._copy_done_for(entry))
+        return bool(dest_lines)
 
     def _copy_done_for(self, bpq_entry) -> None:
         bpq_entry.pending_copies -= 1
@@ -351,13 +322,9 @@ class McSquareController(MemoryController):
                                      lambda: on_done(), label="mat-noop")
             return start
         expected_src = entry.src_for_dst(dest_line)
-        data = self.backing.read(expected_src, CACHELINE_SIZE)
-        src_poisoned = self.backing.range_poisoned(expected_src,
-                                                   CACHELINE_SIZE)
-        src_lines = sorted({align_down(expected_src, CACHELINE_SIZE),
-                            align_down(expected_src + CACHELINE_SIZE - 1,
-                                       CACHELINE_SIZE)})
-        steps = src_lines + [dest_line]  # reads, then the copy write
+        data, src_poisoned = self._read_window(expected_src)
+        # Reads, then the copy write.
+        steps = window_lines(expected_src) + [dest_line]
 
         def _step(index: int) -> None:
             if index < len(steps):
@@ -380,11 +347,7 @@ class McSquareController(MemoryController):
                 if self.ctt.source_overlaps(dest_line, CACHELINE_SIZE):
                     self._resolve_dependents_of(dest_line, self.sim.now,
                                                 set())
-                self.backing.write_line(dest_line, data)
-                if src_poisoned:
-                    self.backing.poison(dest_line)
-                    self._poison_propagations.inc()
-                self.ctt.remove_dest_range(dest_line, CACHELINE_SIZE)
+                self._land(dest_line, data, src_poisoned)
                 self._broadcast_update()
                 self._src_write_copies.inc()
                 if self._trace is not None:
@@ -418,18 +381,9 @@ class McSquareController(MemoryController):
         for entry in self.bpq.entries():
             if entry.pending_copies > 0:
                 continue
-            if self.ctt.source_overlaps(entry.line, CACHELINE_SIZE):
+            if self._materialize_parked(entry):
                 # Still backing copies: issue the (possibly refreshed)
                 # materializations rather than waiting passively.
-                dest_lines = self.ctt.dest_lines_for_source(
-                    entry.line, CACHELINE_SIZE)
-                if dest_lines:
-                    entry.pending_copies = len(dest_lines)
-                    when = self.sim.now + params.CTT_LATENCY_CYCLES
-                    for dest_line in dest_lines:
-                        when = self._schedule_materialize(
-                            dest_line, when,
-                            on_done=lambda e=entry: self._copy_done_for(e))
                 continue
             self.bpq.release(entry.line)
             drained = Packet(PacketType.WRITE, entry.line, CACHELINE_SIZE)
@@ -437,11 +391,7 @@ class McSquareController(MemoryController):
             drained.poisoned = entry.poisoned
             # A parked line may itself be a tracked destination (the
             # write "completes" now): stop tracking it.
-            if self.ctt.lookup_dest_line(entry.line) is not None:
-                trimmed = self.ctt.remove_dest_range(entry.line,
-                                                     CACHELINE_SIZE)
-                self._dest_write_untracks.inc(trimmed)
-                self._broadcast_update()
+            self._untrack_written(entry.line)
             self._accept_write(drained)
             self._admit_overflow()
 
@@ -460,35 +410,6 @@ class McSquareController(MemoryController):
             else:
                 self._accept_write(pkt)  # tracking resolved while waiting
 
-    def _overflow_deadline(self, pkt: Packet) -> None:
-        """Bounded-wait fallback for a source write stuck in overflow.
-
-        If ``pkt`` is still waiting when its deadline fires, the copies
-        that draw from its line are resolved eagerly (from the pre-write
-        memory contents, which is what they would have snapshotted) and
-        the write lands directly, bypassing the BPQ.
-        """
-        waiting = next((item for item in self._bpq_overflow
-                        if item[1] is pkt), None)
-        if waiting is None:
-            return  # admitted (or already handled) in the meantime
-        self._bpq_overflow.remove(waiting)
-        if self.sim.now > waiting[0]:
-            self.bpq.record_full_stall()
-        self._bpq_overflow_fallbacks.inc()
-        line = align_down(pkt.addr, CACHELINE_SIZE)
-        if self._trace is not None:
-            self._trace.instant("mcsquare", self._track,
-                                "bpq-overflow-deadline",
-                                {"line": hex(line)})
-        self._resolve_dependents_of(line, self.sim.now, set())
-        if self.ctt.lookup_dest_line(line) is not None:
-            trimmed = self.ctt.remove_dest_range(line, CACHELINE_SIZE)
-            self._dest_write_untracks.inc(trimmed)
-        self._broadcast_update()
-        self._accept_write(pkt)
-        self._drain_ready_bpq_entries()
-
     # ============================================================ control
     def _handle_control(self, pkt: Packet) -> None:
         if pkt.ptype is PacketType.MCLAZY:
@@ -506,28 +427,15 @@ class McSquareController(MemoryController):
 
     def _handle_mclazy(self, pkt: Packet, attempt: int = 0) -> None:
         """Insert a prospective copy, stalling while sources are parked
-        or the table is full.
-
-        With ``ctt_retry_limit`` unset (the default) this retries forever
-        at a flat interval, exactly the paper's stall behaviour.  With a
-        finite limit the retry interval backs off exponentially (capped)
-        and, once the budget is exhausted, the copy degrades to an eager
-        MC-side ``memcpy`` — slower, but bit-identical and guaranteed to
-        complete even if the table never drains.
-        """
+        or the table is full: the paper's stall retries every
+        ``CTT_RETRY_CYCLES`` until the free engine makes room."""
         src = pkt.src_addr
         assert src is not None
         blocked = any(self.bpq.holds(line) or any(
             peer.bpq.holds(line) for peer in self.peers)
             for line in self._lines_of(src, pkt.size))
         if blocked or not self._try_insert(pkt):
-            limit = self.ctt_retry_limit
-            if limit is not None and attempt >= limit:
-                self._eager_copy_fallback(pkt)
-                return
-            retry = self.ctt_retry_cycles
-            if limit is not None:
-                retry *= min(2 ** attempt, params.CTT_RETRY_BACKOFF_CAP)
+            retry = params.CTT_RETRY_CYCLES
             self._ctt_full_stalls.inc()
             self._ctt_full_stall_cycles.inc(retry)
             if self._trace is not None:
@@ -579,10 +487,7 @@ class McSquareController(MemoryController):
                     self.backing.read(src_byte, length)
                 poisoned = poisoned or \
                     self.backing.range_poisoned(src_byte, length)
-                owner = self._owner_of(src_byte)
-                loc = owner.address_map.decode(
-                    align_down(src_byte, CACHELINE_SIZE))
-                when = owner.channel.access(loc, when)
+                when = self._access(src_byte, when)
             staged.append((dest_line, bytes(composed), poisoned))
         # The eager writes land in memory now, so any older copy still
         # sourcing from one of these lines must materialize first —
@@ -591,125 +496,9 @@ class McSquareController(MemoryController):
             self._eager_boundary_lines.inc()
             when = self._resolve_dependents_of(dest_line, when, set())
         for dest_line, composed, poisoned in staged:
-            self.backing.write_line(dest_line, composed)
-            if poisoned:
-                self.backing.poison(dest_line)
-                self._poison_propagations.inc()
-            self.ctt.remove_dest_range(dest_line, CACHELINE_SIZE)
-            dest_owner = self._owner_of(dest_line)
-            when = dest_owner.channel.access(
-                dest_owner.address_map.decode(dest_line), when)
+            self._land(dest_line, composed, poisoned)
+            when = self._access(dest_line, when)
         return True
-
-    def _eager_copy_fallback(self, pkt: Packet) -> None:
-        """Degrade an un-insertable MCLAZY to an eager MC-side copy.
-
-        Fired when the bounded retry budget is exhausted (CTT permanently
-        full, or the source parked for too long).  The controller performs
-        the copy itself, line by line, charging DRAM timing serially on
-        the owning channels — much slower than a CTT insert, but the
-        result is bit-identical to what the lazy path would eventually
-        have produced, and the requesting core is guaranteed to unblock.
-        """
-        dst, src, size = pkt.addr, pkt.src_addr, pkt.size
-        self._ctt_full_fallbacks.inc()
-        if self._trace is not None:
-            self._trace.instant("mcsquare", self._track,
-                                "mclazy-eager-fallback",
-                                {"dst": hex(dst), "src": hex(src),
-                                 "size": size})
-        dest_lines = self._lines_of(dst, size)
-        # Snapshot the MC-visible source image (parked BPQ data wins over
-        # tracked-destination redirects over plain memory) *before* any
-        # of our own writes can disturb overlapping ranges.
-        data = self._visible_bytes(src, size)
-        line_poison = [
-            self._visible_poisoned(src + off, CACHELINE_SIZE)
-            for off in range(0, size, CACHELINE_SIZE)]
-
-        when = self.sim.now
-        # Destination lines that back *other* prospective copies must
-        # materialize from their pre-overwrite contents first.
-        for dest_line in dest_lines:
-            if self.ctt.source_overlaps(dest_line, CACHELINE_SIZE):
-                when = self._resolve_dependents_of(dest_line, when, set())
-        # The eager copy overwrites any tracking of the destination, and
-        # supersedes parked writes inside it just like a CTT insert does.
-        self.ctt.remove_dest_range(dst, size)
-        self._discard_superseded_parked(dst, size)
-
-        for index, dest_line in enumerate(dest_lines):
-            off = index * CACHELINE_SIZE
-            self.backing.write_line(dest_line,
-                                    data[off:off + CACHELINE_SIZE])
-            if line_poison[index]:
-                self.backing.poison(dest_line)
-                self._poison_propagations.inc()
-            src_start = src + off
-            for src_line in sorted({align_down(src_start, CACHELINE_SIZE),
-                                    align_down(src_start + CACHELINE_SIZE - 1,
-                                               CACHELINE_SIZE)}):
-                owner = self._owner_of(src_line)
-                when = owner.channel.access(
-                    owner.address_map.decode(src_line), when)
-            dest_owner = self._owner_of(dest_line)
-            when = dest_owner.channel.access(
-                dest_owner.address_map.decode(dest_line), when)
-
-        self._broadcast_update()
-        self._drain_ready_bpq_entries()
-        self.sim.schedule_at(max(when, self.sim.now),
-                             lambda: pkt.complete(self.sim.now),
-                             label="mclazy-eager-fallback")
-
-    def _visible_bytes(self, addr: int, size: int) -> bytes:
-        """MC-visible memory image of [addr, addr+size).
-
-        Composes, newest first: parked BPQ data (acked writes held for
-        resolution), tracked-destination redirects (what a bounce read
-        returns), then the backing store.
-        """
-        out = bytearray(size)
-        pos = 0
-        while pos < size:
-            cur = addr + pos
-            line = align_down(cur, CACHELINE_SIZE)
-            off = cur - line
-            take = min(CACHELINE_SIZE - off, size - pos)
-            parked = self._parked_entry(line)
-            if parked is not None:
-                out[pos:pos + take] = parked.data[off:off + take]
-            else:
-                entry = self.ctt.lookup_dest_line(line)
-                if entry is not None:
-                    out[pos:pos + take] = self.backing.read(
-                        entry.src_for_dst(cur), take)
-                else:
-                    out[pos:pos + take] = self.backing.read(cur, take)
-            pos += take
-        return bytes(out)
-
-    def _visible_poisoned(self, addr: int, size: int) -> bool:
-        """Whether any MC-visible byte in [addr, addr+size) is poisoned."""
-        pos = 0
-        while pos < size:
-            cur = addr + pos
-            line = align_down(cur, CACHELINE_SIZE)
-            take = min(CACHELINE_SIZE - (cur - line), size - pos)
-            parked = self._parked_entry(line)
-            if parked is not None:
-                if parked.poisoned:
-                    return True
-            else:
-                entry = self.ctt.lookup_dest_line(line)
-                if entry is not None:
-                    if self.backing.range_poisoned(
-                            entry.src_for_dst(cur), take):
-                        return True
-                elif self.backing.line_poisoned(line):
-                    return True
-            pos += take
-        return False
 
     def _discard_superseded_parked(self, dst: int, size: int) -> None:
         """Drop parked writes that a newly accepted copy wholly overwrites.
@@ -726,17 +515,6 @@ class McSquareController(MemoryController):
                 if mc.bpq.holds(line):
                     mc.bpq.supersede(line)
                     self._superseded_parked.inc()
-
-    def _parked_entry(self, line: int):
-        """The BPQ entry parking ``line`` on any controller, if any."""
-        entry = self.bpq.get(line)
-        if entry is not None:
-            return entry
-        for peer in self.peers:
-            entry = peer.bpq.get(line)
-            if entry is not None:
-                return entry
-        return None
 
     def _resolve_dependents_of(self, line: int, when: int,
                                visited: set) -> int:
@@ -760,24 +538,12 @@ class McSquareController(MemoryController):
             if entry is None:
                 continue
             src_start = entry.src_for_dst(dep)
-            data = self.backing.read(src_start, CACHELINE_SIZE)
-            src_poisoned = self.backing.range_poisoned(src_start,
-                                                       CACHELINE_SIZE)
-            for src_line in sorted({align_down(src_start, CACHELINE_SIZE),
-                                    align_down(src_start + CACHELINE_SIZE - 1,
-                                               CACHELINE_SIZE)}):
-                owner = self._owner_of(src_line)
-                when = owner.channel.access(
-                    owner.address_map.decode(src_line), when)
-            self.backing.write_line(dep, data)
-            if src_poisoned:
-                self.backing.poison(dep)
-                self._poison_propagations.inc()
-            self.ctt.remove_dest_range(dep, CACHELINE_SIZE)
+            data, poisoned = self._read_window(src_start)
+            for src_line in window_lines(src_start):
+                when = self._access(src_line, when)
+            self._land(dep, data, poisoned)
             self._src_write_copies.inc()
-            owner = self._owner_of(dep)
-            when = owner.channel.access(owner.address_map.decode(dep),
-                                        when)
+            when = self._access(dep, when)
         self._drain_ready_bpq_entries()
         return when
 
@@ -785,28 +551,13 @@ class McSquareController(MemoryController):
     def _maybe_start_async_free(self, force: bool = False) -> None:
         """Resolve smallest entries in the background past the threshold."""
         while (self._async_inflight < self.parallel_frees
-               and (force or self.ctt.occupancy >= self.copy_threshold)
-               and len(self.ctt) > 0):
-            entry = self._pop_freeable()
+               and (force or self.ctt.occupancy >= self.copy_threshold)):
+            entry = self.ctt.pop_smallest()
             if entry is None:
                 return
             self._async_inflight += 1
             self._resolve_entry_async(entry)
             force = False
-
-    def _pop_freeable(self) -> Optional[CttEntry]:
-        """Smallest active entry whose destination is not a source."""
-        best: Optional[CttEntry] = None
-        for entry in self.ctt.entries:
-            if not entry.active:
-                continue
-            if self.ctt.source_overlaps(entry.dst, entry.size):
-                continue
-            if best is None or entry.size < best.size:
-                best = entry
-        if best is not None:
-            best.active = False
-        return best
 
     def _resolve_entry_async(self, entry: CttEntry) -> None:
         """Copy one claimed entry line by line in the background."""
@@ -814,8 +565,7 @@ class McSquareController(MemoryController):
             self._trace.instant("mcsquare", self._track, "async-free",
                                 {"dst": hex(entry.dst),
                                  "size": entry.size})
-        lines = [entry.dst + off
-                 for off in range(0, entry.size, CACHELINE_SIZE)]
+        lines = self._lines_of(entry.dst, entry.size)
         when = self.sim.now
         remaining = {"n": len(lines)}
 
@@ -832,6 +582,37 @@ class McSquareController(MemoryController):
             when = self._schedule_materialize(line, when, on_done=_line_done)
 
     # ============================================================ helpers
+    def _read_window(self, start: int) -> Tuple[bytes, bool]:
+        """The 64 B source window at ``start`` and its poison: a DUE
+        anywhere in the window makes the composed line known-bad."""
+        return (self.backing.read(start, CACHELINE_SIZE),
+                self.backing.range_poisoned(start, CACHELINE_SIZE))
+
+    def _land(self, line: int, data: bytes, poisoned: bool) -> None:
+        """Write a resolved destination line, carry its source's poison,
+        and stop tracking it."""
+        self.backing.write_line(line, data)
+        if poisoned:
+            self.backing.poison(line)
+            self._poison_propagations.inc()
+        self.ctt.remove_dest_range(line, CACHELINE_SIZE)
+
+    def _untrack_written(self, line: int) -> bool:
+        """Stop tracking a destination line a write overwrites; False
+        when it was not tracked."""
+        if self.ctt.lookup_dest_line(line) is None:
+            return False
+        trimmed = self.ctt.remove_dest_range(line, CACHELINE_SIZE)
+        self._dest_write_untracks.inc(trimmed)
+        self._broadcast_update()
+        return True
+
+    def _access(self, addr: int, when: int) -> int:
+        """One synchronous DRAM access to ``addr`` on its owning
+        channel, no earlier than ``when``; returns its finish cycle."""
+        owner = self._owner_of(addr)
+        return owner.channel.access(owner.address_map.decode(addr), when)
+
     def _owner_of(self, addr: int) -> "McSquareController":
         channel = self.address_map.channel_of(addr)
         if channel == self.channel_id:

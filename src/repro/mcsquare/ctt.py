@@ -38,6 +38,14 @@ from repro.common.units import CACHELINE_SIZE, PAGE_SIZE, align_down
 from repro.sim.stats import StatGroup
 
 
+def window_lines(start: int) -> List[int]:
+    """The one or two cachelines holding the 64 B window at ``start``:
+    two when ``start`` is misaligned (the paper's double bounce)."""
+    first = align_down(start, CACHELINE_SIZE)
+    last = align_down(start + CACHELINE_SIZE - 1, CACHELINE_SIZE)
+    return [first] if first == last else [first, last]
+
+
 class InsertResult:
     """Outcome of a CTT insert.
 
@@ -300,10 +308,7 @@ class CopyTrackingTable:
         entry = self.lookup_dest_line(line_addr)
         if entry is None:
             return None
-        src_start = entry.src_for_dst(line_addr)
-        first = align_down(src_start, CACHELINE_SIZE)
-        last = align_down(src_start + CACHELINE_SIZE - 1, CACHELINE_SIZE)
-        return [first] if first == last else [first, last]
+        return window_lines(entry.src_for_dst(line_addr))
 
     def source_overlaps(self, addr: int, size: int) -> List[CttEntry]:
         """Entries whose *source* range intersects [addr, addr+size)."""
@@ -569,13 +574,16 @@ class CopyTrackingTable:
     def pop_smallest(self) -> Optional[CttEntry]:
         """Claim the smallest active entry for asynchronous resolution.
 
-        The entry is marked inactive (claimed) but stays in the table so
-        that reads keep bouncing until the copy lands; the free engine
-        calls :meth:`remove_dest_range` when done.
+        Entries whose destination is itself a tracked source are passed
+        over: copying them would overwrite bytes another copy still
+        reads.  The entry is marked inactive (claimed) but stays in the
+        table so that reads keep bouncing until the copy lands; the free
+        engine calls :meth:`remove_dest_range` when done.
         """
         best: Optional[CttEntry] = None
         for entry in self._entries:
-            if entry.active and (best is None or entry.size < best.size):
+            if entry.active and (best is None or entry.size < best.size) \
+                    and not self.source_overlaps(entry.dst, entry.size):
                 best = entry
         if best is not None:
             best.active = False

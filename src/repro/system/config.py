@@ -38,16 +38,6 @@ class SystemConfig:
     # waiting for the fill threshold.
     eager_async_copies: bool = False
 
-    # Graceful-degradation budgets (see repro.faults).  The None defaults
-    # reproduce the paper exactly: MCLAZY retries a full CTT forever at a
-    # flat interval, and overflowed source writes wait indefinitely for a
-    # BPQ slot.  Finite values bound those waits: MCLAZY backs off
-    # exponentially then degrades to an eager MC-side copy; a stalled
-    # source write eagerly resolves its blocking copies and lands.
-    ctt_retry_cycles: int = params.CTT_RETRY_CYCLES
-    ctt_retry_limit: "int | None" = None
-    bpq_overflow_timeout: "int | None" = None
-
     # Copy-engine backend (repro.copyengine).  ``copy_backend`` selects
     # the mechanism System.copy_backend() builds; the remaining fields
     # are per-backend parameters routed by each backend's
@@ -69,14 +59,6 @@ class SystemConfig:
             raise ConfigError("copy threshold must be in (0, 1]")
         if self.ctt_entries <= 0 or self.bpq_entries <= 0:
             raise ConfigError("CTT/BPQ sizes must be positive")
-        if self.ctt_retry_cycles <= 0:
-            raise ConfigError("CTT retry interval must be positive")
-        if self.ctt_retry_limit is not None and self.ctt_retry_limit < 0:
-            raise ConfigError("CTT retry limit must be >= 0 (or None)")
-        if self.bpq_overflow_timeout is not None \
-                and self.bpq_overflow_timeout <= 0:
-            raise ConfigError("BPQ overflow timeout must be positive "
-                              "(or None)")
         # Import here, not at module top: copyengine imports the sw
         # layer, which would cycle back through configs at import time.
         from repro.copyengine.registry import backend_names, known_backend

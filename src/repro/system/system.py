@@ -70,9 +70,6 @@ class System:
                     parallel_frees=self.config.parallel_frees,
                     bounce_writeback=self.config.bounce_writeback,
                     eager_async_copies=self.config.eager_async_copies,
-                    ctt_retry_cycles=self.config.ctt_retry_cycles,
-                    ctt_retry_limit=self.config.ctt_retry_limit,
-                    bpq_overflow_timeout=self.config.bpq_overflow_timeout,
                     inmem_layout=self.config.inmem_layout,
                     inmem_subarray_rows=self.config.inmem_subarray_rows,
                 ))

@@ -243,6 +243,15 @@ class TestAsyncFreeSupport:
     def test_pop_smallest_empty_returns_none(self, ctt):
         assert ctt.pop_smallest() is None
 
+    def test_pop_smallest_skips_a_destination_another_copy_reads(self, ctt):
+        ctt.insert(0x8000, 0x1000, 4 * CL)
+        # The smallest entry, but copying it would overwrite bytes the
+        # first copy still reads.
+        ctt.insert(0x1000, 0x2000, CL)
+        entry = ctt.pop_smallest()
+        assert (entry.dst, entry.size) == (0x8000, 4 * CL)
+        assert ctt.pop_smallest() is None
+
     def test_occupancy(self, ctt):
         assert ctt.occupancy == 0.0
         ctt.insert(0x1000, 0x2000, CL)
