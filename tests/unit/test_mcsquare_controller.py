@@ -188,6 +188,7 @@ class TestSourceWrites:
             for ch in range(system.config.dram_channels))
         assert bpq_stalls > 0
         assert system.read_memory(dst, 4096) == bytes(4096)
+        assert system.read_memory(src, 4096) == b"\x33" * 4096
 
     def test_small_bpq_slower_than_large(self):
         def run(entries):
