@@ -20,6 +20,13 @@ MCLAZY stalls on a full CTT, asynchronous frees and redirected chained
 copies (``mclazy-ctt-full``); and a destination line with two sources,
 copied at insert (``mclazy-eager-line``).
 
+``core-ops`` pins the core's rarer issue paths on an ``mclazy`` machine:
+every op kind but the in-memory and bulk copies, store-to-load
+forwarding into a blocking and a non-blocking load, a load waiting on
+a partly overlapping store, a store ordered behind an older
+overlapping one, full-line non-temporal stores, a range writeback, an
+MCFREE and a store train that fills the store buffer.
+
 The final cycle, the events fired and the whole ``stats.flatten()``
 tree must equal the checked-in JSON.
 
@@ -30,14 +37,16 @@ Regenerate deliberately with::
 
 import json
 import random
+from collections import Counter
 from pathlib import Path
-from typing import Callable, Dict, Iterator
+from typing import Callable, Dict, Iterator, Optional
 
 import pytest
 
 from repro import System, small_system
 from repro.common.units import CACHELINE_SIZE, HUGE_PAGE_SIZE, KB, PAGE_SIZE
 from repro.isa import ops
+from repro.isa.ops import Op
 from repro.workloads.common import build_machine
 from repro.workloads.hugepage import HugePageCowWorkload
 
@@ -217,8 +226,72 @@ def _run_mclazy_eager_line() -> Dict[str, object]:
     return _record(system, finish)
 
 
+#: Lines in the ``core-ops`` store train: more than the store buffer
+#: holds, all missing the caches, so issue stalls on a full buffer.
+TRAIN_LINES = 64
+
+
+def _run_core_ops(labels: Optional[Counter] = None) -> Dict[str, object]:
+    """A lazy copy, then each of the core's rarer issue paths in turn;
+    ``labels``, when given, counts every fired event's label."""
+    system, backend = build_machine("mclazy")
+    src = system.alloc(PAGE_SIZE, align=PAGE_SIZE)
+    dst = system.alloc(PAGE_SIZE, align=PAGE_SIZE)
+    freed = system.alloc(PAGE_SIZE, align=PAGE_SIZE)
+    scratch = system.alloc(PAGE_SIZE, align=PAGE_SIZE)
+    train = system.alloc(TRAIN_LINES * CACHELINE_SIZE, align=PAGE_SIZE)
+    data = _pattern(PAGE_SIZE, 5)
+    system.backing.write(src, data)
+    if labels is not None:
+        system.sim.enable_tracing(lambda label, _now: labels.update((label,)))
+    loaded = []
+
+    def program() -> Iterator[Op]:
+        yield from backend.copy_ops(dst, src, PAGE_SIZE)
+        yield from backend.copy_ops(freed, src, PAGE_SIZE)
+        # Store-to-load forwarding, into a non-blocking and a blocking
+        # load.
+        yield ops.store(scratch, 8, data=b"\x11" * 8)
+        yield ops.load(scratch, 8)
+        loaded.append((yield ops.load(scratch + 2, 4, blocking=True)))
+        # A load partly overlapping a pending store waits for it.
+        yield ops.store(scratch + 72, 8, data=b"\x22" * 8)
+        yield ops.load(scratch + 68, 8)
+        # A store overlapping an older one still in its RFO is ordered
+        # behind it.
+        yield ops.store(scratch + 128, 8, data=b"\x33" * 8)
+        yield ops.store(scratch + 132, 8, data=b"\x44" * 8)
+        yield ops.compute(3)
+        for off in (256, 320):
+            yield ops.nt_store(scratch + off, CACHELINE_SIZE,
+                               data=bytes([off & 0xFF]) * CACHELINE_SIZE)
+        yield ops.clwb_range(scratch, 512)
+        yield from backend.free_ops(freed, PAGE_SIZE)
+        # Reads of the lazily copied buffer bounce at the MC.
+        for off in range(0, PAGE_SIZE, 8 * CACHELINE_SIZE):
+            yield ops.load(dst + off, 8)
+        for off in range(0, TRAIN_LINES * CACHELINE_SIZE, CACHELINE_SIZE):
+            yield ops.store(train + off, 8, data=b"\x55" * 8)
+        yield ops.mfence()
+
+    finish = system.run_program(program())
+    system.drain()
+    assert loaded == [b"\x11" * 4]
+    assert system.read_memory(dst, PAGE_SIZE) == data
+    assert system.read_memory(scratch, 8) == b"\x11" * 8
+    assert system.read_memory(scratch + 72, 8) == b"\x22" * 8
+    assert system.read_memory(scratch + 128, 12) == \
+        b"\x33" * 4 + b"\x44" * 8
+    assert system.read_memory(scratch + 256, 128) == \
+        bytes([0]) * CACHELINE_SIZE + bytes([64]) * CACHELINE_SIZE
+    assert system.read_memory(train + 64 * (TRAIN_LINES - 1), 8) == \
+        b"\x55" * 8
+    return _record(system, finish)
+
+
 #: Pin name -> the run that produces it.
 CASES: Dict[str, Callable[[], Dict[str, object]]] = {
+    "core-ops": _run_core_ops,
     "cow-eager-2m": _run_cow_eager_2m,
     "eager-kernel-64k": lambda: _run_copy_64k("eager", kernel=True),
     "mclazy-bpq-64k": _run_mclazy_bpq_64k,
@@ -242,6 +315,22 @@ def test_stat_tree_matches_pin(name):
     assert got["now"] == want["now"]
     assert got["events_fired"] == want["events_fired"]
     assert got["stats"] == want["stats"]
+
+
+#: Labels of the core paths ``core-ops`` exists to pin.
+CORE_LABELS = ("stl-forward", "order-wait", "st-st-order",
+               "clwb-range-issued", "ntstore-issued", "mcfree-issued",
+               "mclazy-issued", "clwb-issued", "store-issued",
+               "compute-done", "mfence-done")
+
+
+def test_core_ops_pin_reaches_the_rare_paths():
+    labels: Counter = Counter()
+    record = _run_core_ops(labels)
+    assert [label for label in CORE_LABELS if not labels[label]] == []
+    stats = record["stats"]
+    assert stats["core0.sb_full_stalls"] > 0
+    assert stats["core0.loads"] > 0
 
 
 if __name__ == "__main__":

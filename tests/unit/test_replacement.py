@@ -37,6 +37,22 @@ class TestLru:
         victim = cache.fill(4 * CL, bytes(CL), now=11)
         assert victim.addr == CL  # line 1 is now the oldest
 
+    @pytest.mark.parametrize("stamps", [
+        (5, 5, 5, 5), (3, 1, 1, 2), (2, 0, 7, 0), (9, 4, 4, 4),
+        (0, 0, 1, 1), (6, 6, 2, 2)])
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 1, 0, 2)])
+    def test_victim_matches_reference_on_ties(self, stamps, order):
+        """Tied ``last_used`` stamps: the first minimum in the set's
+        insertion order is evicted, as the reference ``min`` picks."""
+        cache = build(LruPolicy())
+        for way in order:
+            cache.fill(way * CL, bytes(CL), now=0)
+        cset = cache._sets[0]
+        for way, stamp in enumerate(stamps):
+            cset[way * CL].last_used = stamp
+        reference = min(cset, key=lambda a: cset[a].last_used)
+        assert cache.policy.victim(cset, now=99) == reference
+
 
 class TestRandom:
     def test_victim_is_member_and_deterministic(self):
