@@ -375,7 +375,7 @@ class CopyTrackingTable:
         # 2. Source redirection: split the new copy where its source is a
         #    tracked destination, pointing those segments at the original
         #    source instead (avoids copy chains).
-        entries, eager = self._redirect_segments(dst, src, size)
+        entries, eager, redirected = self._redirect_segments(dst, src, size)
 
         if len(self._entries) + len(entries) > self.capacity:
             # A merge may still make it fit, but hardware checks capacity
@@ -383,6 +383,8 @@ class CopyTrackingTable:
             self._insert_fails.inc()
             self._flush_resolved()
             return InsertResult(ok=False)
+        # Counted only for accepted inserts: a refused one retries.
+        self._redirects.inc(redirected)
 
         # One logical copy per accepted MCLAZY: its lifecycle span opens
         # here and closes when the last entry carrying its id is removed.
@@ -411,29 +413,32 @@ class CopyTrackingTable:
     def _redirect_segments(
             self, dst: int, src: int, size: int
     ) -> Tuple[List[Tuple[int, int, int]],
-               List[Tuple[int, List[Tuple[int, int, int]]]]]:
+               List[Tuple[int, List[Tuple[int, int, int]]]], int]:
         """Split [src, src+size) against tracked destinations.
 
-        Returns ``(entries, eager_lines)``.  ``entries`` are (dst, src,
-        size) triples with cacheline-aligned destinations whose source is
-        contiguous plain memory.  ``eager_lines`` are destination lines
-        whose backing bytes span two source regions; each is reported as
-        ``(dst_line, [(src_byte_addr, line_offset, length), ...])`` for
-        immediate resolution by the controller.
+        Returns ``(entries, eager_lines, redirected)``.  ``entries`` are
+        (dst, src, size) triples with cacheline-aligned destinations
+        whose source is contiguous plain memory.  ``eager_lines`` are
+        destination lines whose backing bytes span two source regions;
+        each is reported as ``(dst_line, [(src_byte_addr, line_offset,
+        length), ...])`` for immediate resolution by the controller.
+        ``redirected`` counts the segments pointed at an older source.
         """
         # Byte-granular segments covering the whole copy, in dst order.
         overlaps = sorted(self._dest_overlaps(src, size), key=lambda e: e.dst)
         segments: List[Tuple[int, int, int]] = []  # (dst_byte, src_byte, len)
         cursor = src
         end = src + size
+        redirected = 0
 
         def emit(lo: int, hi: int, redirect: Optional[CttEntry]) -> None:
+            nonlocal redirected
             if hi <= lo:
                 return
             seg_dst = dst + (lo - src)
             if redirect is not None:
                 seg_src = redirect.src_for_dst(lo)
-                self._redirects.inc()
+                redirected += 1
             else:
                 seg_src = lo
             segments.append((seg_dst, seg_src, hi - lo))
@@ -497,7 +502,7 @@ class CopyTrackingTable:
             line = line_end
         if run is not None:
             entries.append((run[0], run[1], run[2]))
-        return entries, eager
+        return entries, eager, redirected
 
     def _merge_around(self, dst: int, size: int) -> None:
         """Coalesce entries adjacent to [dst, dst+size) when contiguous."""

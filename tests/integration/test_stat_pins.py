@@ -16,9 +16,9 @@ moves all 32,768 lines of the page through a saturated write queue.
 The ``mclazy-*`` cases pin the (MC)² controller paths the goldens do
 not reach: source writes parked in the BPQ while their dependent lines
 materialize, double bounces off a misaligned source (``mclazy-bpq-64k``);
-MCLAZY stalls on a full CTT, asynchronous frees and redirected chained
-copies (``mclazy-ctt-full``); and a destination line with two sources,
-copied at insert (``mclazy-eager-line``).
+MCLAZY stalls on a full CTT, asynchronous frees and a chained copy
+(``mclazy-ctt-full``); and a destination line with two sources, copied
+at insert (``mclazy-eager-line``).
 
 ``core-ops`` pins the core's rarer issue paths on an ``mclazy`` machine:
 every op kind but the in-memory and bulk copies, store-to-load
@@ -171,7 +171,9 @@ FULL_SIZE = 4 * KB
 def _run_mclazy_ctt_full() -> Dict[str, object]:
     """Eight 4 KB lazy copies into a 2-entry CTT, one chained copy out
     of the last destination, then a store and a CLWB to the last copy's
-    source."""
+    source.  The chained copy stalls until the free engine has resolved
+    the last destination, so the insert it finally gets is never
+    redirected (``ctt.redirects`` reads 0)."""
     system = System(small_system(ctt_entries=2))
     backend = system.copy_backend("mclazy")
     pairs = []

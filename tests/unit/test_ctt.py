@@ -137,6 +137,16 @@ class TestRedirection:
         ctt.insert(0x5000, 0x1000, CL)
         assert ctt.stats.counters["redirects"].value >= 1
 
+    def test_refused_redirecting_insert_counts_no_redirect(self):
+        ctt = CopyTrackingTable(capacity=1)
+        ctt.insert(0x1000, 0x2000, 2 * CL)
+        # Half of the new source is the tracked destination: two
+        # segments, one redirected, and no room for either.
+        assert not ctt.insert(0x5000, 0x1000 + CL, 2 * CL).ok
+        assert not ctt.insert(0x5000, 0x1000 + CL, 2 * CL).ok
+        assert ctt.stats.counters["redirects"].value == 0
+        assert ctt.stats.counters["insert_fails"].value == 2
+
     def test_no_chain_after_many_hops(self, ctt):
         ctt.insert(0x1000, 0x9000, CL)
         ctt.insert(0x2000, 0x1000, CL)
