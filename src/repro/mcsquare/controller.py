@@ -480,8 +480,10 @@ class McSquareController(MemoryController):
         when = self.sim.now
         staged = []
         for dest_line, pieces in result.eager_lines:
-            composed = bytearray(self.backing.read_line(dest_line))
-            poisoned = self.backing.line_poisoned(dest_line)
+            # The pieces rewrite the whole line, so neither its old bytes
+            # nor its old poison survive.
+            composed = bytearray(CACHELINE_SIZE)
+            poisoned = False
             for src_byte, offset, length in pieces:
                 composed[offset:offset + length] = \
                     self.backing.read(src_byte, length)

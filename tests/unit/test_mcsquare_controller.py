@@ -298,6 +298,35 @@ class TestChainedCopies:
         system.drain()
         assert system.read_memory(d, 4096) == b"\xB2" * 4096
 
+    def test_eager_boundary_line_drops_stale_destination_poison(self):
+        """A line copied at insert is wholly rewritten from its sources,
+        so it carries their poison, not the destination's old poison."""
+        system = lazy_system()
+        first_src = system.alloc(1024, align=4096)
+        first_dst = system.alloc(2048, align=4096)
+        second_dst = system.alloc(1024, align=4096)
+        fill(system, first_src, 1024, 0x11)
+        fill(system, first_dst, 2048, 0x22)
+        # The second copy's source starts 520 B into the first
+        # destination, so the line holding its byte 503 draws from two
+        # sources and is copied at insert.
+        eager_line = second_dst + 448
+        system.backing.poison(eager_line)
+
+        def prog():
+            yield from memcpy_lazy_ops(system, first_dst, first_src, 1024)
+            yield from memcpy_lazy_ops(system, second_dst, first_dst + 520,
+                                       1024)
+            yield ops.mfence()
+
+        system.run_program(prog())
+        system.drain()
+        assert mc_stat(system, "eager_boundary_lines") == 1
+        assert system.read_memory(eager_line, CL) == \
+            b"\x11" * 56 + b"\x22" * 8
+        assert system.poisoned_lines() == set()
+        assert mc_stat(system, "poison_propagations") == 0
+
 
 class TestChainedSourceWrites:
     """Regression: liveness when the CTT is rewritten under parked writes.
