@@ -253,16 +253,24 @@ def _schedule_site(node: ast.Call, bare: str, dotted: str,
     handler, handler_kind = ("", "unknown")
     if len(node.args) > 1:
         handler, handler_kind = _resolve_handler(node.args[1])
-    phase: Optional[int] = 0
-    label = ""
+    # schedule(delay, callback, label, phase): the label and the phase
+    # may come by position or by keyword.
+    label_arg = node.args[2] if len(node.args) > 2 else None
+    phase_arg = node.args[3] if len(node.args) > 3 else None
     for kw in node.keywords:
         if kw.arg == "phase":
-            phase = (kw.value.value
-                     if isinstance(kw.value, ast.Constant)
-                     and isinstance(kw.value.value, int) else None)
-        elif kw.arg == "label" and isinstance(kw.value, ast.Constant) \
-                and isinstance(kw.value.value, str):
-            label = kw.value.value
+            phase_arg = kw.value
+        elif kw.arg == "label":
+            label_arg = kw.value
+    phase: Optional[int] = 0
+    if phase_arg is not None:
+        phase = (phase_arg.value
+                 if isinstance(phase_arg, ast.Constant)
+                 and isinstance(phase_arg.value, int) else None)
+    label = ""
+    if isinstance(label_arg, ast.Constant) \
+            and isinstance(label_arg.value, str):
+        label = label_arg.value
     return ScheduleSite(node=node, method=bare, delay_kind=delay_kind,
                         phase=phase, handler=handler,
                         handler_kind=handler_kind, label=label)

@@ -17,13 +17,15 @@ the paper's memcpy analysis (§II):
   writebacks and lazy-copy packets — has completed (§III-C).
 
 The core is event-driven: :meth:`_pump` advances issue whenever a
-resource frees, and in-order retirement frees window slots.
+resource frees, and in-order retirement frees window slots.  Each op
+kind issues through its own handler, found in a per-core table keyed by
+the kind's value.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Generator, Optional
+from typing import Callable, Deque, Dict, Generator, Optional, Tuple
 
 from repro.common import params
 from repro.cache.hierarchy import CacheHierarchy
@@ -90,7 +92,28 @@ class Core:
         # Hot-path bindings: _schedule_pump runs several times per op, so
         # the label and entry callback are built once, not per schedule.
         self._pump_label = f"core{core_id}-pump"
-        self._pump_entry = self._run_pump
+        self._pump_entry = self._pump
+        # Completion of every op that holds a store-buffer slot until it
+        # drains.
+        self._sb_done = lambda finish: self._sb_free()
+        # Op kind value -> (issue cycles, holds a store-buffer slot,
+        # handler): one lookup per issued op.
+        handlers = {
+            OpKind.COMPUTE.value: self._issue_compute,
+            OpKind.LOAD.value: self._issue_load,
+            OpKind.STORE.value: self._issue_store,
+            OpKind.NT_STORE.value: self._issue_nt_store,
+            OpKind.CLWB.value: self._issue_clwb,
+            OpKind.CLWB_RANGE.value: self._issue_clwb_range,
+            OpKind.MCLAZY.value: self._issue_mclazy,
+            OpKind.INMEM_COPY.value: self._issue_inmem_copy,
+            OpKind.MCFREE.value: self._issue_mcfree,
+            OpKind.BULK_COPY.value: self._issue_bulk_copy,
+            OpKind.MFENCE.value: self._issue_mfence,
+        }
+        self._issue_table: Dict[str, Tuple[int, bool, Callable[[Op], None]]] \
+            = {kind: (_ISSUE_COST[kind], kind in _SB_KINDS, handler)
+               for kind, handler in handlers.items()}
 
         # -------- statistics ---------------------------------------------
         self.ops_retired = stats.counter("ops_retired", "ops retired")
@@ -135,23 +158,15 @@ class Core:
         # observe every same-cycle completion / resume / buffer release
         # before deciding what issues this cycle, no matter how the
         # tie-break orders those events (see repro.sim.engine).
-        self.sim.schedule(delay, self._pump_entry, label=self._pump_label,
-                          phase=1)
-
-    def _run_pump(self) -> None:
-        self._pump_scheduled = False
-        self._pump()
+        self.sim.schedule(delay, self._pump_entry, self._pump_label, 1)
 
     def _pump(self) -> None:
         """Issue as many ops as resources allow at the current cycle."""
-        # Loop-invariant bindings (the mutable gates — _awaiting, _fence,
-        # _serializing, _pending_op — are re-read each iteration because
-        # _issue flips them mid-loop).
-        window = self._window
-        rob = self.rob_entries
-        sb_limit = self.store_buffer_entries
-        sb_kinds = _SB_KINDS
-        sim = self.sim
+        self._pump_scheduled = False
+        # Most runs issue at most one op (after each issue the pump
+        # runs again in the same cycle), so state is read where it is
+        # used rather than bound up front; the gates are re-read each
+        # iteration because an issue handler flips them mid-loop.
         while True:
             if self._awaiting is not None:
                 self._note_stall()
@@ -163,37 +178,53 @@ class Core:
             if serializing is not None and serializing.completed_at is None:
                 self._note_stall()
                 return  # kernel bulk copy blocks younger ops
-            if len(window) >= rob:
+            window = self._window
+            if len(window) >= self.rob_entries:
                 self._note_stall()
                 return
-            op = self._pending_op or self._pull()
+            op = self._pending_op
             if op is None:
-                self._maybe_finish()
-                return
-            self._pending_op = op
-            if op.kind._value_ in sb_kinds and self._sb_used >= sb_limit:
+                # Pull the program's next op; the first pull is next(),
+                # so a plain iterator works as a one-op program.
+                if self._exhausted or self._gen is None:
+                    self._maybe_finish()
+                    return
+                try:
+                    if self._gen_started:
+                        op = self._gen.send(None)
+                    else:
+                        self._gen_started = True
+                        op = next(self._gen)
+                except StopIteration:
+                    self._exhausted = True
+                    self._maybe_finish()
+                    return
+                self._pending_op = op
+            cost, holds_sb, handler = self._issue_table[op.kind._value_]
+            if holds_sb and self._sb_used >= self.store_buffer_entries:
                 self.sb_full_stalls.value += 1
                 self._note_stall()
                 return
+            sim = self.sim
             now = sim.now
+            # _schedule_pump, inlined here and after the issue below.
             if self._next_issue_at > now:
-                self._schedule_pump(self._next_issue_at - now)
+                if not self._pump_scheduled:
+                    self._pump_scheduled = True
+                    sim.schedule(self._next_issue_at - now,
+                                 self._pump_entry, self._pump_label, 1)
                 return
             self._pending_op = None
-            self._clear_stall()
-            self._issue(op)
-
-    def _pull(self) -> Optional[Op]:
-        if self._exhausted or self._gen is None:
-            return None
-        try:
-            if not self._gen_started:
-                self._gen_started = True
-                return next(self._gen)
-            return self._gen.send(None)
-        except StopIteration:
-            self._exhausted = True
-            return None
+            if self._stall_since is not None:
+                self.stall_cycles.value += now - self._stall_since
+                self._stall_since = None
+            op.issued_at = now
+            self._next_issue_at = now + cost
+            window.append(op)
+            handler(op)
+            if not self._pump_scheduled:
+                self._pump_scheduled = True
+                sim.schedule(0, self._pump_entry, self._pump_label, 1)
 
     def _resume_with_value(self, value: bytes) -> None:
         """Feed a blocking load's value back into the program."""
@@ -246,30 +277,34 @@ class Core:
         the flush/packet must observe them.
         """
         def _try() -> None:
-            if any(self._pending_store_overlap(a, s) for a, s in ranges):
-                # Late phase: the retry polls store-buffer state, so it
-                # must not race same-cycle drains.
-                self.sim.schedule(5, _try, label="order-wait", phase=1)
-            else:
-                action()
+            for addr, size in ranges:
+                if self._pending_store_overlap(addr, size):
+                    # Late phase: the retry polls store-buffer state, so
+                    # it must not race same-cycle drains.
+                    self.sim.schedule(5, _try, label="order-wait", phase=1)
+                    return
+            action()
 
         _try()
 
     # -------------------------------------------------------------- issue
-    def _issue(self, op: Op) -> None:
-        now = self.sim.now
-        op.issued_at = now
-        kind = op.kind
-        self._next_issue_at = now + _ISSUE_COST[kind._value_]
-        self._window.append(op)
+    # One handler per op kind, called by _pump after it has stamped the
+    # op issued, charged its issue cycles and put it in the window.  The
+    # pump schedules itself again after every handler.  The hot kinds
+    # (loads, CLWBs, MCLAZYs) check for an overlapping pending store
+    # themselves and call the caches directly when there is none,
+    # instead of building an ordering wait.
 
-        if kind is OpKind.COMPUTE:
-            self._next_issue_at = self.sim.now + op.cycles
-            done = self.sim.now + max(op.cycles, 1)
-            self.sim.schedule_at(done, lambda: self._complete(op),
-                                 label="compute-done")
-        elif kind is OpKind.LOAD:
-            self.loads.value += 1
+    def _issue_compute(self, op: Op) -> None:
+        now = self.sim.now
+        self._next_issue_at = now + op.cycles
+        self.sim.schedule_at(now + max(op.cycles, 1),
+                             lambda: self._complete(op), "compute-done")
+
+    def _issue_load(self, op: Op) -> None:
+        self.loads.value += 1
+        pending = self._pending_stores
+        if pending:
             forwarded = self._forward_from_store_buffer(op.addr, op.size)
             if forwarded is not None:
                 op.value = forwarded
@@ -282,145 +317,153 @@ class Core:
 
                 if op.blocking:
                     self._awaiting = op
-                self.sim.schedule_at(done, _fwd, label="stl-forward")
-                if not self._pump_scheduled:
-                    self._schedule_pump()
+                self.sim.schedule_at(done, _fwd, "stl-forward")
                 return
-            self._mem_begin()
+        self._mem_begin()
+        if op.blocking:
+            self._awaiting = op
+
+        def _loaded(data: bytes, finish: int) -> None:
+            op.value = data
+            self._mem_end()
+            self._complete(op)
             if op.blocking:
-                self._awaiting = op
+                self._resume_with_value(data)
 
-            def _loaded(data: bytes, finish: int) -> None:
-                op.value = data
-                self._mem_end()
-                self._complete(op)
-                if op.blocking:
-                    self._resume_with_value(data)
+        if pending and self._pending_store_overlap(op.addr, op.size):
+            # Partial overlap with an in-flight store: no forward is
+            # possible, so the load stalls until the store drains
+            # (x86 replays such loads).
+            self._dispatch_after_stores(
+                [(op.addr, op.size)],
+                lambda: self.hierarchy.load(self.core_id, op.addr,
+                                            op.size, _loaded))
+        else:
+            self.hierarchy.load(self.core_id, op.addr, op.size, _loaded)
 
-            if self._pending_store_overlap(op.addr, op.size):
-                # Partial overlap with an in-flight store: no forward is
-                # possible, so the load stalls until the store drains
-                # (x86 replays such loads).
-                self._dispatch_after_stores(
-                    [(op.addr, op.size)],
-                    lambda: self.hierarchy.load(self.core_id, op.addr,
-                                                op.size, _loaded))
-            else:
-                self.hierarchy.load(self.core_id, op.addr, op.size,
-                                    _loaded)
-        elif kind is OpKind.STORE:
-            self.stores.value += 1
-            self._sb_used += 1
-            data = op.data() if callable(op.data) else op.data
-            if data is None:
-                data = (op.addr & 0xFF).to_bytes(1, "little") * op.size
-            entry = [op.addr, op.size, data]
-            self._pending_stores.append(entry)
-            self.sim.schedule(1, lambda: self._complete(op),
-                              label="store-issued")
+    def _store_data(self, op: Op) -> bytes:
+        data = op.data() if callable(op.data) else op.data
+        if data is None:
+            data = (op.addr & 0xFF).to_bytes(1, "little") * op.size
+        return data
 
-            def _drained(finish: int) -> None:
-                self._pending_stores.remove(entry)
-                self._sb_free()
+    def _issue_store(self, op: Op) -> None:
+        self.stores.value += 1
+        self._sb_used += 1
+        data = self._store_data(op)
+        entry = [op.addr, op.size, data]
+        self._pending_stores.append(entry)
+        self.sim.schedule(1, lambda: self._complete(op), "store-issued")
 
-            def _dispatch() -> None:
-                # Same-address stores must commit in program order: an
-                # older overlapping store whose RFO is still in flight
-                # would otherwise land *after* this one and resurrect
-                # stale data.
-                if self._older_store_overlaps(entry):
-                    self.sim.schedule(5, _dispatch, label="st-st-order",
-                                      phase=1)
-                    return
-                self.hierarchy.store(self.core_id, op.addr, op.size, data,
-                                     _drained)
+        def _drained(finish: int) -> None:
+            self._pending_stores.remove(entry)
+            self._sb_free()
 
-            _dispatch()
-        elif kind is OpKind.NT_STORE:
-            self.stores.value += 1
-            self._sb_used += 1
-            data = op.data() if callable(op.data) else op.data
-            if data is None:
-                data = (op.addr & 0xFF).to_bytes(1, "little") * op.size
-            self.sim.schedule(1, lambda: self._complete(op),
-                              label="ntstore-issued")
-            self.hierarchy.nt_store(self.core_id, op.addr, op.size, data,
-                                    lambda finish: self._sb_free())
-        elif kind is OpKind.CLWB:
-            self._sb_used += 1
-            self.sim.schedule(1, lambda: self._complete(op),
-                              label="clwb-issued")
+        def _dispatch() -> None:
+            # Same-address stores must commit in program order: an
+            # older overlapping store whose RFO is still in flight
+            # would otherwise land *after* this one and resurrect
+            # stale data.
+            if self._older_store_overlaps(entry):
+                self.sim.schedule(5, _dispatch, label="st-st-order",
+                                  phase=1)
+                return
+            self.hierarchy.store(self.core_id, op.addr, op.size, data,
+                                 _drained)
+
+        _dispatch()
+
+    def _issue_nt_store(self, op: Op) -> None:
+        self.stores.value += 1
+        self._sb_used += 1
+        data = self._store_data(op)
+        self.sim.schedule(1, lambda: self._complete(op), "ntstore-issued")
+        self.hierarchy.nt_store(self.core_id, op.addr, op.size, data,
+                                self._sb_done)
+
+    def _issue_clwb(self, op: Op) -> None:
+        self._sb_used += 1
+        self.sim.schedule(1, lambda: self._complete(op), "clwb-issued")
+        if self._pending_store_overlap(op.addr, op.size):
             self._dispatch_after_stores(
                 [(op.addr, op.size)],
                 lambda: self.hierarchy.clwb(self.core_id, op.addr,
-                                            lambda finish: self._sb_free()))
-        elif kind is OpKind.CLWB_RANGE:
-            self._sb_used += 1
-            self.sim.schedule(1, lambda: self._complete(op),
-                              label="clwb-range-issued")
-            self._dispatch_after_stores(
-                [(op.addr, op.size)],
-                lambda: self.hierarchy.clwb_range(
-                    self.core_id, op.addr, op.size,
-                    lambda finish: self._sb_free()))
-        elif kind is OpKind.MCLAZY:
-            self._sb_used += 1
-            self.sim.schedule(1, lambda: self._complete(op),
-                              label="mclazy-issued")
+                                            self._sb_done))
+        else:
+            self.hierarchy.clwb(self.core_id, op.addr, self._sb_done)
+
+    def _issue_clwb_range(self, op: Op) -> None:
+        self._sb_used += 1
+        self.sim.schedule(1, lambda: self._complete(op), "clwb-range-issued")
+        self._dispatch_after_stores(
+            [(op.addr, op.size)],
+            lambda: self.hierarchy.clwb_range(self.core_id, op.addr,
+                                              op.size, self._sb_done))
+
+    def _issue_mclazy(self, op: Op) -> None:
+        self._sb_used += 1
+        self.sim.schedule(1, lambda: self._complete(op), "mclazy-issued")
+        if (self._pending_store_overlap(op.src_addr, op.size)
+                or self._pending_store_overlap(op.addr, op.size)):
             self._dispatch_after_stores(
                 [(op.src_addr, op.size), (op.addr, op.size)],
                 lambda: self.hierarchy.handle_mclazy(
                     self.core_id, op.addr, op.src_addr, op.size,
-                    lambda finish: self._sb_free()))
-        elif kind is OpKind.INMEM_COPY:
-            # Offloaded in-DRAM copy: issues like MCLAZY (descriptor
-            # build + send) but the store-buffer slot is held until
-            # every channel finishes its share, so a later MFENCE
-            # orders after the clone itself, not just the send.
-            self._sb_used += 1
-            self.sim.schedule(1, lambda: self._complete(op),
-                              label="inmem-copy-issued")
-            self._dispatch_after_stores(
-                [(op.src_addr, op.size), (op.addr, op.size)],
-                lambda: self.hierarchy.handle_inmem_copy(
-                    self.core_id, op.addr, op.src_addr, op.size,
-                    op.copy_mode or "rowclone",
-                    lambda finish: self._sb_free()))
-        elif kind is OpKind.MCFREE:
-            self._sb_used += 1
-            self.sim.schedule(1, lambda: self._complete(op),
-                              label="mcfree-issued")
-            self.hierarchy.handle_mcfree(self.core_id, op.addr, op.size,
-                                         lambda finish: self._sb_free())
-        elif kind is OpKind.BULK_COPY:
-            self._mem_begin()
-            self._serializing = op
+                    self._sb_done))
+        else:
+            self.hierarchy.handle_mclazy(self.core_id, op.addr, op.src_addr,
+                                         op.size, self._sb_done)
 
-            def _copied(finish: int) -> None:
-                self._serializing = None
-                self._mem_end()
-                self._complete(op)
+    def _issue_inmem_copy(self, op: Op) -> None:
+        # Offloaded in-DRAM copy: issues like MCLAZY (descriptor
+        # build + send) but the store-buffer slot is held until
+        # every channel finishes its share, so a later MFENCE
+        # orders after the clone itself, not just the send.
+        self._sb_used += 1
+        self.sim.schedule(1, lambda: self._complete(op), "inmem-copy-issued")
+        self._dispatch_after_stores(
+            [(op.src_addr, op.size), (op.addr, op.size)],
+            lambda: self.hierarchy.handle_inmem_copy(
+                self.core_id, op.addr, op.src_addr, op.size,
+                op.copy_mode or "rowclone", self._sb_done))
 
-            self._dispatch_after_stores(
-                [(op.src_addr, op.size), (op.addr, op.size)],
-                lambda: self.hierarchy.bulk_copy(
-                    self.core_id, op.addr, op.src_addr, op.size, _copied))
-        elif kind is OpKind.MFENCE:
-            self._fence = op
-            self._try_fence()
-        else:  # pragma: no cover - exhaustive
-            raise SimulationError(f"unknown op kind {kind}")
-        if not self._pump_scheduled:
-            self._schedule_pump()
+    def _issue_mcfree(self, op: Op) -> None:
+        self._sb_used += 1
+        self.sim.schedule(1, lambda: self._complete(op), "mcfree-issued")
+        self.hierarchy.handle_mcfree(self.core_id, op.addr, op.size,
+                                     self._sb_done)
+
+    def _issue_bulk_copy(self, op: Op) -> None:
+        self._mem_begin()
+        self._serializing = op
+
+        def _copied(finish: int) -> None:
+            self._serializing = None
+            self._mem_end()
+            self._complete(op)
+
+        self._dispatch_after_stores(
+            [(op.src_addr, op.size), (op.addr, op.size)],
+            lambda: self.hierarchy.bulk_copy(
+                self.core_id, op.addr, op.src_addr, op.size, _copied))
+
+    def _issue_mfence(self, op: Op) -> None:
+        self._fence = op
+        self._try_fence()
 
     # -------------------------------------------------------- completion
     def _complete(self, op: Op) -> None:
         op.completed_at = self.sim.now
-        self._retire()
+        # Nothing retires (nor can the program finish) while the window
+        # head is still in flight.
+        window = self._window
+        if not window or window[0].completed_at is not None:
+            self._retire()
         if self._fence is not None:
             self._try_fence()
         if not self._pump_scheduled:
-            self._schedule_pump()
+            self._pump_scheduled = True
+            self.sim.schedule(0, self._pump_entry, self._pump_label, 1)
 
     def _retire(self) -> None:
         while self._window and self._window[0].completed_at is not None:
@@ -479,8 +522,3 @@ class Core:
     def _note_stall(self) -> None:
         if self._stall_since is None and self._outstanding_mem > 0:
             self._stall_since = self.sim.now
-
-    def _clear_stall(self) -> None:
-        if self._stall_since is not None:
-            self.stall_cycles.inc(self.sim.now - self._stall_since)
-            self._stall_since = None

@@ -58,6 +58,15 @@ def test_mc2601_phase_separation_is_an_ordering_edge(tmp_path):
     assert codes(analyze_source(tmp_path, separated)) == []
 
 
+def test_mc2601_positional_phase_separates(tmp_path):
+    separated = RACY.replace("self.sim.schedule(1, self._b)",
+                             "self.sim.schedule(1, self._b, 'b', 1)")
+    assert codes(analyze_source(tmp_path, separated)) == []
+    same = RACY.replace("self.sim.schedule(1, self._b)",
+                        "self.sim.schedule(1, self._b, 'b', 0)")
+    assert codes(analyze_source(tmp_path, same)) == ["MC2601"]
+
+
 def test_mc2601_commutative_accumulation_is_exempt(tmp_path):
     commutative = RACY.replace("self.slot = 1", "self.slot += 1") \
                       .replace("self.slot = 2", "self.slot += 1")
