@@ -86,14 +86,15 @@ class Cache:
 
     @policy.setter
     def policy(self, policy: "ReplacementPolicy") -> None:
-        # Cache the per-hit callback (or None when the policy opted out
-        # via ReplacementPolicy.tracks_touch) so the lookup fast path
-        # skips a no-op Python call on the default LRU configuration.
-        # A setter, not an __init__ assignment, because tests swap the
-        # policy on a live cache.
+        # Cache the per-hit and per-fill callbacks (or None when the
+        # policy opted out via ReplacementPolicy.tracks_touch) so the
+        # lookup and fill fast paths skip a no-op Python call on the
+        # default LRU configuration.  A setter, not an __init__
+        # assignment, because tests swap the policy on a live cache.
         self._policy = policy
-        self._touch = (policy.on_touch
-                       if getattr(policy, "tracks_touch", True) else None)
+        tracks = getattr(policy, "tracks_touch", True)
+        self._touch = policy.on_touch if tracks else None
+        self._on_fill = policy.on_fill if tracks else None
 
     # ------------------------------------------------------------- lookup
     def lookup(self, addr: int, now: int, touch: bool = True
@@ -133,19 +134,23 @@ class Cache:
                 existing.data = bytearray(data)
             return None
         victim: Optional[CacheLine] = None
+        directory = self.directory
         if len(cset) >= self.assoc:
-            victim_addr = self.policy.victim(cset, now)
+            victim_addr = self._policy.victim(cset, now)
             victim = cset.pop(victim_addr)
-            self._forget(victim_addr)
-            self.evictions.inc()
+            # _forget, inlined: fills are the hot path.
+            held = directory.pop(victim_addr) & ~self.bit
+            if held:
+                directory[victim_addr] = held
+            self.evictions.value += 1
             if victim.dirty:
-                self.dirty_evictions.inc()
+                self.dirty_evictions.value += 1
         line = CacheLine(line_addr, data, now)
         line.dirty = dirty
         cset[line_addr] = line
-        directory = self.directory
         directory[line_addr] = directory.get(line_addr, 0) | self.bit
-        self.policy.on_fill(line)
+        if self._on_fill is not None:
+            self._on_fill(line)
         return victim
 
     # ----------------------------------------------------------- maintain

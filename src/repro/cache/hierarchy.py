@@ -41,6 +41,9 @@ from repro.sim.engine import Simulator
 from repro.sim.packet import READ, WRITE, Packet, PacketType
 from repro.sim.stats import StatGroup
 
+#: Aligns an address down to its cacheline (CACHELINE_SIZE is 2^n).
+_LINE_MASK = ~(CACHELINE_SIZE - 1)
+
 
 class CacheHierarchy:
     """Per-core L1s over a shared L2, fronting the memory interconnect."""
@@ -133,20 +136,21 @@ class CacheHierarchy:
         bounded by the core's MSHR budget.
         """
         self._loads.value += 1
-        line_addr = align_down(addr, CACHELINE_SIZE)
+        line_addr = addr & _LINE_MASK
         offset = addr - line_addr
         if offset + size > CACHELINE_SIZE:
             self._split_load(core, addr, size, on_complete)
             return
         l1 = self.l1s[core]
+        sim = self.sim
+        now = sim.now
 
-        line = l1.lookup(addr, self.sim.now)
+        line = l1.lookup(addr, now)
         if line is not None:
             l1.hits.value += 1
-            done = self.sim.now + params.L1_HIT_CYCLES
+            done = now + params.L1_HIT_CYCLES
             data = bytes(line.data[offset:offset + size])
-            self.sim.schedule_at(done, lambda: on_complete(data, done),
-                                 label="l1-hit")
+            sim.schedule_at(done, lambda: on_complete(data, done), "l1-hit")
             return
         l1.misses.value += 1
         self._train_prefetcher(core, line_addr)
@@ -159,17 +163,17 @@ class CacheHierarchy:
             for peer in self.l1s:
                 if not peer.bit & held:
                     continue
-                peer_line = peer.lookup(addr, self.sim.now, touch=False)
+                peer_line = peer.lookup(addr, now, touch=False)
                 if peer_line.dirty:
                     self._install(self.l2, line_addr, bytes(peer_line.data),
                                   dirty=True)
                     peer_line.dirty = False
                     break
 
-        l2_line = self.l2.lookup(addr, self.sim.now)
+        l2_line = self.l2.lookup(addr, now)
         if l2_line is not None:
             self.l2.hits.value += 1
-            done = self.sim.now + params.L2_HIT_CYCLES
+            done = now + params.L2_HIT_CYCLES
             data = bytes(l2_line.data)
             value = data[offset:offset + size]
             epoch = self._capture_epoch(line_addr)
@@ -179,7 +183,7 @@ class CacheHierarchy:
                     self._install(l1, line_addr, data, dirty=False)
                 on_complete(value, done)
 
-            self.sim.schedule_at(done, _fill_l1, label="l2-hit")
+            sim.schedule_at(done, _fill_l1, "l2-hit")
             return
         self.l2.misses.value += 1
 
@@ -189,11 +193,11 @@ class CacheHierarchy:
         if held:
             # The lowest set bit is the first holder in core order.
             peer = self.l1s[(held & -held).bit_length() - 1]
-            peer_line = peer.lookup(addr, self.sim.now, touch=False)
+            peer_line = peer.lookup(addr, now, touch=False)
             data = bytes(peer_line.data)
             self._install(self.l2, line_addr, data, dirty=peer_line.dirty)
             peer_line.dirty = False
-            done = self.sim.now + params.L2_HIT_CYCLES + 10
+            done = now + params.L2_HIT_CYCLES + 10
             value = data[offset:offset + size]
             epoch = self._capture_epoch(line_addr)
 
@@ -202,13 +206,14 @@ class CacheHierarchy:
                     self._install(l1, line_addr, d, dirty=False)
                 on_complete(v, t)
 
-            self.sim.schedule_at(done, _forwarded, label="peer-forward")
+            sim.schedule_at(done, _forwarded, "peer-forward")
             return
 
         def _on_fill(data: bytes, finish: int) -> None:
             on_complete(data[offset:offset + size], finish)
 
-        self._fetch_line(core, line_addr, _on_fill, fill_l1=True)
+        # Both levels just missed, so no replay lookup is needed.
+        self._fetch_miss(core, line_addr, _on_fill, fill_l1=True)
 
     def store(self, core: int, addr: int, size: int, data: bytes,
               on_complete: Callable[[int], None]) -> None:
@@ -262,7 +267,8 @@ class CacheHierarchy:
                 self.poisoned_lines.discard(line_addr)
             on_complete(finish)
 
-        self._fetch_line(core, line_addr, _on_rfo, fill_l1=True)
+        # Both levels just missed, so no replay lookup is needed.
+        self._fetch_miss(core, line_addr, _on_rfo, fill_l1=True)
 
     def _split_load(self, core: int, addr: int, size: int,
                     on_complete: Callable[[bytes, int], None]) -> None:
@@ -342,7 +348,7 @@ class CacheHierarchy:
                 self._clwb_waiters.pop(0)()
             on_complete(finish)
 
-        line_addr = align_down(addr, CACHELINE_SIZE)
+        line_addr = addr & _LINE_MASK
         data = self._clean_scan(line_addr)
         if data is None:
             # Nothing dirty anywhere: the flush still probes the whole
@@ -615,7 +621,7 @@ class CacheHierarchy:
 
     def _install(self, cache: Cache, line_addr: int, data: bytes,
                  dirty: bool) -> None:
-        victim = cache.fill(line_addr, data, self.sim.now, dirty=dirty)
+        victim = cache.fill(line_addr, data, self.sim.now, dirty)
         if victim is not None and victim.dirty:
             if cache is not self.l2:
                 self._install(self.l2, victim.addr, bytes(victim.data),
@@ -667,12 +673,12 @@ class CacheHierarchy:
         pkt.is_prefetch = True
         self._send(pkt)
 
-    def _fetch_line(self, core: int, line_addr: int,
-                    on_fill: Callable[[bytes, int], None],
-                    fill_l1: bool) -> None:
-        """Miss to memory, respecting the core's MSHR budget."""
-        # An MSHR-full replay may run after the line has already been
-        # filled; serve it from the caches instead of re-fetching.
+    def _replay_miss(self, core: int, line_addr: int,
+                     on_fill: Callable[[bytes, int], None],
+                     fill_l1: bool) -> None:
+        """A miss the MSHR budget held back, issued again."""
+        # The replay may run after the line has already been filled;
+        # serve it from the caches instead of re-fetching.
         for cache in (self.l1s[core], self.l2):
             line = cache.lookup(line_addr, self.sim.now, touch=False)
             if line is not None:
@@ -684,6 +690,12 @@ class CacheHierarchy:
                 self.sim.schedule_at(done, lambda: on_fill(data, done),
                                      label="refill-hit")
                 return
+        self._fetch_miss(core, line_addr, on_fill, fill_l1)
+
+    def _fetch_miss(self, core: int, line_addr: int,
+                    on_fill: Callable[[bytes, int], None],
+                    fill_l1: bool) -> None:
+        """Miss to memory, respecting the core's MSHR budget."""
         waiters = self._inflight_fills.get(line_addr)
         if waiters is not None:
             # Coalesce with an in-flight fetch (demand or prefetch) for
@@ -699,7 +711,7 @@ class CacheHierarchy:
             return
         if self._outstanding[core] >= params.MAX_OUTSTANDING_MISSES:
             self._mshr_waiters[core].append(
-                lambda: self._fetch_line(core, line_addr, on_fill, fill_l1))
+                lambda: self._replay_miss(core, line_addr, on_fill, fill_l1))
             return
         self._outstanding[core] += 1
         waiters_list: List[Callable[[bytes, int], None]] = []

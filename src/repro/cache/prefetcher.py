@@ -70,14 +70,16 @@ class StridePrefetcher:
             return []
         if stride == entry.stride:
             entry.confidence = min(entry.confidence + 1, 8)
-            self._trained.inc()
+            self._trained.value += 1
         else:
             entry.stride = stride
             entry.confidence = 1
         entry.last_addr = line
         if entry.confidence < self.confidence_threshold:
             return []
-        targets = [line + entry.stride * (i + 1) for i in range(self.degree)]
-        targets = [t for t in targets if t >= 0]
-        self._issued.inc(len(targets))
+        # The next ``degree`` lines along the stride, none below 0.
+        targets = [t for t in range(line + stride,
+                                    line + stride * (self.degree + 1), stride)
+                   if t >= 0]
+        self._issued.value += len(targets)
         return targets

@@ -10,19 +10,24 @@ the :class:`~repro.cache.cache.Cache` container owns the line storage.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, Optional
 
 from repro.common.errors import ConfigError
+
+#: A line's recency stamp, read without a Python-level call.
+_LAST_USED = attrgetter("last_used")
 
 
 class ReplacementPolicy:
     """Interface: track per-line state, choose a victim address."""
 
     name = "abstract"
-    #: False lets the cache skip the per-hit on_touch call entirely —
-    #: ``line.last_used`` is always stamped by the cache itself, so
-    #: policies that only need recency (LRU, random) opt out of the
-    #: callback on the hottest path in the repo.
+    #: False lets the cache skip the per-hit on_touch and per-fill
+    #: on_fill calls entirely — ``line.last_used`` is always stamped by
+    #: the cache itself, so policies that keep no per-line state of
+    #: their own (LRU, random) opt out of both callbacks, the per-hit
+    #: one being on the hottest path in the repo.
     tracks_touch = True
 
     def on_touch(self, line) -> None:
@@ -51,7 +56,9 @@ class LruPolicy(ReplacementPolicy):
         pass
 
     def victim(self, cache_set, now: int) -> int:
-        return min(cache_set, key=lambda a: cache_set[a].last_used)
+        # min() keeps the first of equal stamps, in the set's insertion
+        # order; a line's address is its key.
+        return min(cache_set.values(), key=_LAST_USED).addr
 
 
 class RandomPolicy(ReplacementPolicy):
