@@ -431,9 +431,10 @@ class McSquareController(MemoryController):
         ``CTT_RETRY_CYCLES`` until the free engine makes room."""
         src = pkt.src_addr
         assert src is not None
-        blocked = any(self.bpq.holds(line) or any(
-            peer.bpq.holds(line) for peer in self.peers)
-            for line in self._lines_of(src, pkt.size))
+        parked = self._parked_bpqs()
+        blocked = bool(parked) and any(
+            bpq.holds(line) for line in self._lines_of(src, pkt.size)
+            for bpq in parked)
         if blocked or not self._try_insert(pkt):
             retry = params.CTT_RETRY_CYCLES
             self._ctt_full_stalls.inc()
@@ -512,10 +513,13 @@ class McSquareController(MemoryController):
         :meth:`_drain_ready_bpq_entries`, land its stale bytes, and
         untrack the newer copy's destination.
         """
+        parked = self._parked_bpqs()
+        if not parked:
+            return
         for line in self._lines_of(dst, size):
-            for mc in [self] + self.peers:
-                if mc.bpq.holds(line):
-                    mc.bpq.supersede(line)
+            for bpq in parked:
+                if bpq.holds(line):
+                    bpq.supersede(line)
                     self._superseded_parked.inc()
 
     def _resolve_dependents_of(self, line: int, when: int,
@@ -584,6 +588,11 @@ class McSquareController(MemoryController):
             when = self._schedule_materialize(line, when, on_done=_line_done)
 
     # ============================================================ helpers
+    def _parked_bpqs(self) -> List[BouncePendingQueue]:
+        """This channel's BPQ and its peers', in that order, leaving
+        out the empty ones (usually all of them)."""
+        return [mc.bpq for mc in [self] + self.peers if len(mc.bpq)]
+
     def _read_window(self, start: int) -> Tuple[bytes, bool]:
         """The 64 B source window at ``start`` and its poison: a DUE
         anywhere in the window makes the composed line known-bad."""

@@ -29,7 +29,7 @@ interconnect broadcast; this class models the replicated content once.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.common import params
@@ -234,6 +234,34 @@ class CopyTrackingTable:
             if count <= 0:
                 self._resolved_pending.append((cid, reason))
 
+    def _replace(self, entry: CttEntry, remnant: CttEntry) -> None:
+        """Put ``remnant``, the first piece of ``entry`` a trim keeps, in
+        ``entry``'s slot: the same table state as :meth:`_remove` then
+        :meth:`_add`, without shifting the lists.
+
+        ``remnant`` is a new entry with ``entry``'s copy id, so the
+        copy's live count does not change; its destination starts
+        within ``entry``'s, before any later remnant, so the order by
+        destination holds.
+        """
+        index = bisect_left(self._starts, entry.dst)
+        self._entries[index] = remnant
+        self._starts[index] = remnant.dst
+        # Unindex only the source pages the remnant no longer covers
+        # (usually none).
+        keep_first = remnant.src // PAGE_SIZE
+        keep_last = (remnant.src + remnant.size - 1) // PAGE_SIZE
+        src_pages = self._src_pages
+        for page in self._src_pages_of(entry):
+            if keep_first <= page <= keep_last:
+                continue
+            count = src_pages[page] - 1
+            if count:
+                src_pages[page] = count
+            else:
+                del src_pages[page]
+        self._note_occupancy()
+
     def _note_occupancy(self) -> None:
         """Advance the cycle-end occupancy high-water mark.
 
@@ -293,10 +321,23 @@ class CopyTrackingTable:
         return out
 
     def lookup_dest_line(self, line_addr: int) -> Optional[CttEntry]:
-        """Entry tracking the destination cacheline at ``line_addr``."""
+        """Entry tracking the destination cacheline at ``line_addr``.
+
+        The first hit :meth:`_dest_overlaps` would return for the line,
+        found without building the list (every read and bounce
+        writeback of a tracked line asks).
+        """
         line_addr = align_down(line_addr, CACHELINE_SIZE)
-        hits = self._dest_overlaps(line_addr, CACHELINE_SIZE)
-        return hits[0] if hits else None
+        entries = self._entries
+        idx = bisect_right(self._starts, line_addr)
+        if idx:
+            entry = entries[idx - 1]
+            if entry.dst + entry.size > line_addr:
+                return entry
+        if idx < len(entries) and \
+                entries[idx].dst < line_addr + CACHELINE_SIZE:
+            return entries[idx]
+        return None
 
     def source_lines_for_dest(self, line_addr: int) -> Optional[List[int]]:
         """Source cacheline(s) needed to materialize destination line.
@@ -314,10 +355,12 @@ class CopyTrackingTable:
         """Entries whose *source* range intersects [addr, addr+size)."""
         if size <= 0 or not self._entries:
             return []
-        first_page = addr // PAGE_SIZE
+        src_pages = self._src_pages
         last_page = (addr + size - 1) // PAGE_SIZE
-        if not any(p in self._src_pages
-                   for p in range(first_page, last_page + 1)):
+        for page in range(addr // PAGE_SIZE, last_page + 1):
+            if page in src_pages:
+                break
+        else:
             return []
         end = addr + size
         return [e for e in self._entries if e.src < end and e.src_end > addr]
@@ -544,21 +587,24 @@ class CopyTrackingTable:
         """
         affected = 0
         end = addr + size
-        for entry in list(self._dest_overlaps(addr, size)):
+        for entry in self._dest_overlaps(addr, size):
             affected += 1
-            self._removed_bytes.inc(
-                min(entry.dst_end, end) - max(entry.dst, addr))
-            self._remove(entry, reason=reason)
-            # Left remnant: [entry.dst, addr)
-            if entry.dst < addr:
-                self._add(CttEntry(entry.dst, entry.src, addr - entry.dst,
-                                   copy_id=entry.copy_id))
-            # Right remnant: [end, entry.dst_end)
-            if entry.dst_end > end:
-                offset = end - entry.dst
-                self._add(CttEntry(end, entry.src + offset,
-                                   entry.dst_end - end,
-                                   copy_id=entry.copy_id))
+            dst, src, cid = entry.dst, entry.src, entry.copy_id
+            dst_end = dst + entry.size
+            self._removed_bytes.value += min(dst_end, end) - max(dst, addr)
+            # Left remnant [dst, addr) and right remnant [end, dst_end).
+            left = CttEntry(dst, src, addr - dst, cid) if dst < addr else None
+            right = (CttEntry(end, src + (end - dst), dst_end - end, cid)
+                     if dst_end > end else None)
+            if left is None and right is None:
+                self._remove(entry, reason=reason)
+                continue
+            # The first remnant takes the entry's slot (a bounce
+            # writeback usually trims one line off the front of its
+            # entry); a split's right remnant is added after it.
+            self._replace(entry, left or right)
+            if left is not None and right is not None:
+                self._add(right)
         return affected
 
     def remove_dest_range(self, addr: int, size: int) -> int:
