@@ -167,8 +167,9 @@ class CopyTrackingTable:
             "copy_lifetime", "cycles from registration to full resolution")
         # Copy-lifecycle bookkeeping: one logical copy per successful
         # insert().  Live entry counts per copy id; a copy resolves when
-        # its count returns to zero at the end of a public operation
-        # (transient zeroes inside a trim-then-readd are not ends).
+        # its count reaches zero, settled at the end of the public
+        # operation.  A trim keeps its remnants in the trimmed entry's
+        # slot, so a copy's count never passes through zero on the way.
         self._copy_seq = 0
         self._copy_live: Dict[int, int] = {}
         self._copy_registered: Dict[int, int] = {}
@@ -285,16 +286,16 @@ class CopyTrackingTable:
     def _flush_resolved(self) -> None:
         """Settle copies whose last entry was removed this operation.
 
-        Deferred to the end of each public mutation because a trim may
-        remove an entry and immediately re-add a remnant with the same
-        copy id — a transient zero, not a resolution.
+        Deferred to the end of each public mutation, so an operation's
+        copy ends are recorded after its other effects: an insert opens
+        the new copy's span before the copies it overwrote close.
         """
         if not self._resolved_pending:
             return
         pending, self._resolved_pending = self._resolved_pending, []
         for cid, reason in pending:
             if self._copy_live.get(cid) != 0:
-                continue  # remnant re-added (or already settled)
+                continue  # already settled
             del self._copy_live[cid]
             registered = self._copy_registered.pop(cid, 0)
             now = self._clock() if self._clock is not None else registered
@@ -579,7 +580,7 @@ class CopyTrackingTable:
         the number of entries affected.
 
         ``removed_bytes`` counts only the overlap — the bytes that
-        actually leave tracking, never the re-added remnants.  That sum
+        actually leave tracking, never the kept remnants.  That sum
         is a property of the untracked byte *set*, so it is identical no
         matter how a range is trimmed (whole, line by line, in any
         order); counting whole entry sizes instead would let equal-cycle
