@@ -18,14 +18,14 @@ the paper's memcpy analysis (§II):
 
 The core is event-driven: :meth:`_pump` advances issue whenever a
 resource frees, and in-order retirement frees window slots.  Each op
-kind issues through its own handler, found in a per-core table keyed by
-the kind's value.
+kind issues through its own handler, found in one table keyed by the
+kind's value.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Generator, Optional, Tuple
+from typing import Callable, Deque, Generator, Optional
 
 from repro.common import params
 from repro.cache.hierarchy import CacheHierarchy
@@ -35,29 +35,6 @@ from repro.sim.engine import Simulator
 from repro.sim.stats import StatGroup
 
 Program = Generator[Op, Optional[bytes], None]
-
-# The per-op tables below are keyed by an op kind's ``_value_`` string,
-# not by the member: an Enum member hashes through a Python-level
-# ``Enum.__hash__`` call, a str through its cached hash.
-
-_ISSUE_COST = {
-    OpKind.LOAD.value: 1,
-    OpKind.STORE.value: 1,
-    OpKind.NT_STORE.value: params.NT_STORE_CYCLES,
-    OpKind.CLWB.value: params.CLWB_ISSUE_CYCLES,
-    OpKind.MCLAZY.value: params.MCLAZY_ISSUE_CYCLES,
-    OpKind.MCFREE.value: params.MCLAZY_ISSUE_CYCLES,
-    OpKind.INMEM_COPY.value: params.MCLAZY_ISSUE_CYCLES,
-    OpKind.MFENCE.value: 1,
-    OpKind.COMPUTE.value: 0,
-    OpKind.BULK_COPY.value: 1,
-    OpKind.CLWB_RANGE.value: 4,
-}
-
-#: Op kinds that hold a store-buffer entry until they drain.
-_SB_KINDS = frozenset(kind.value for kind in (
-    OpKind.STORE, OpKind.NT_STORE, OpKind.CLWB, OpKind.CLWB_RANGE,
-    OpKind.MCLAZY, OpKind.MCFREE, OpKind.INMEM_COPY))
 
 
 class Core:
@@ -96,24 +73,6 @@ class Core:
         # Completion of every op that holds a store-buffer slot until it
         # drains.
         self._sb_done = lambda finish: self._sb_free()
-        # Op kind value -> (issue cycles, holds a store-buffer slot,
-        # handler): one lookup per issued op.
-        handlers = {
-            OpKind.COMPUTE.value: self._issue_compute,
-            OpKind.LOAD.value: self._issue_load,
-            OpKind.STORE.value: self._issue_store,
-            OpKind.NT_STORE.value: self._issue_nt_store,
-            OpKind.CLWB.value: self._issue_clwb,
-            OpKind.CLWB_RANGE.value: self._issue_clwb_range,
-            OpKind.MCLAZY.value: self._issue_mclazy,
-            OpKind.INMEM_COPY.value: self._issue_inmem_copy,
-            OpKind.MCFREE.value: self._issue_mcfree,
-            OpKind.BULK_COPY.value: self._issue_bulk_copy,
-            OpKind.MFENCE.value: self._issue_mfence,
-        }
-        self._issue_table: Dict[str, Tuple[int, bool, Callable[[Op], None]]] \
-            = {kind: (_ISSUE_COST[kind], kind in _SB_KINDS, handler)
-               for kind, handler in handlers.items()}
 
         # -------- statistics ---------------------------------------------
         self.ops_retired = stats.counter("ops_retired", "ops retired")
@@ -200,7 +159,7 @@ class Core:
                     self._maybe_finish()
                     return
                 self._pending_op = op
-            cost, holds_sb, handler = self._issue_table[op.kind._value_]
+            cost, holds_sb, handler = self._ISSUE[op.kind._value_]
             if holds_sb and self._sb_used >= self.store_buffer_entries:
                 self.sb_full_stalls.value += 1
                 self._note_stall()
@@ -221,7 +180,7 @@ class Core:
             op.issued_at = now
             self._next_issue_at = now + cost
             window.append(op)
-            handler(op)
+            handler(self, op)
             if not self._pump_scheduled:
                 self._pump_scheduled = True
                 sim.schedule(0, self._pump_entry, self._pump_label, 1)
@@ -450,6 +409,28 @@ class Core:
     def _issue_mfence(self, op: Op) -> None:
         self._fence = op
         self._try_fence()
+
+    #: Op kind -> (issue cycles, holds a store-buffer slot until it
+    #: drains, handler).  Keyed by the kind's ``_value_`` string, not by
+    #: the member: an Enum member hashes through a Python-level
+    #: ``Enum.__hash__`` call, a str through its cached hash.
+    _ISSUE = {
+        OpKind.COMPUTE.value: (0, False, _issue_compute),
+        OpKind.LOAD.value: (1, False, _issue_load),
+        OpKind.STORE.value: (1, True, _issue_store),
+        OpKind.NT_STORE.value: (params.NT_STORE_CYCLES, True,
+                                _issue_nt_store),
+        OpKind.CLWB.value: (params.CLWB_ISSUE_CYCLES, True, _issue_clwb),
+        OpKind.CLWB_RANGE.value: (4, True, _issue_clwb_range),
+        OpKind.MCLAZY.value: (params.MCLAZY_ISSUE_CYCLES, True,
+                              _issue_mclazy),
+        OpKind.INMEM_COPY.value: (params.MCLAZY_ISSUE_CYCLES, True,
+                                  _issue_inmem_copy),
+        OpKind.MCFREE.value: (params.MCLAZY_ISSUE_CYCLES, True,
+                              _issue_mcfree),
+        OpKind.BULK_COPY.value: (1, False, _issue_bulk_copy),
+        OpKind.MFENCE.value: (1, False, _issue_mfence),
+    }
 
     # -------------------------------------------------------- completion
     def _complete(self, op: Op) -> None:
