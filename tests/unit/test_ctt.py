@@ -183,6 +183,26 @@ class TestMerging:
         ctt.insert(0x1000 + 2 * CL, 0x2000 + CL, CL)
         assert len(ctt) == 2
 
+    def test_copy_whose_remnant_merges_away_ends_as_merged(self, ctt):
+        class Spans:
+            def __init__(self):
+                self.ends = []
+
+            def span_begin(self, *args):
+                pass
+
+            def span_end(self, _cat, span_id, args):
+                self.ends.append((span_id, args["reason"]))
+
+        ctt._trace = Spans()
+        ctt.insert(0x1000, 0x2000, 4 * CL)
+        # Re-copying the first half trims copy 0 to its second half,
+        # which is contiguous with the new entry and merges into it.
+        ctt.insert(0x1000, 0x2000, 2 * CL)
+        assert addrs(ctt) == [(0x1000, 0x2000, 4 * CL)]
+        assert ctt._trace.ends == [("copy:0", "merged")]
+        assert ctt.stats.counters["copies_resolved"].value == 1
+
     def test_element_by_element_array_copy_merges_to_one(self, ctt):
         for i in range(16):
             ctt.insert(0x1000 + i * CL, 0x2000 + i * CL, CL)
