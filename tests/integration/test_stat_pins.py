@@ -330,6 +330,8 @@ def test_core_ops_pin_reaches_the_rare_paths():
     labels: Counter = Counter()
     record = _run_core_ops(labels)
     assert [label for label in CORE_LABELS if not labels[label]] == []
+    # Forwarded into both the non-blocking and the blocking load.
+    assert labels["stl-forward"] == 2
     stats = record["stats"]
     assert stats["core0.sb_full_stalls"] > 0
     assert stats["core0.loads"] > 0
