@@ -24,11 +24,11 @@ overflow timeouts, OS costs such as fork/page-fault latencies).
   state allocates nothing but the events themselves.
 * A ``bytearray`` *occupancy map* beside the ring holds 1 for every
   non-empty slot: set when an append (or a far-list promotion) fills
-  an empty slot, cleared when the slot drains.  The run loops find the
-  next busy cycle with one ``bytearray.find`` over it (wrapping at
-  ``day_length``, capped at the far-list head and at ``until``)
-  instead of stepping through idle cycles one by one — a long
-  DRAM-bound run is mostly idle cycles.
+  an empty slot, cleared when the slot drains.  ``run()`` and
+  ``step()`` find the next busy cycle with one ``bytearray.find`` over
+  it (wrapping at ``day_length``, capped at the far-list head and at
+  ``until``) instead of stepping through idle cycles one by one — a
+  long DRAM-bound run is mostly idle cycles.
 * ``schedule(delay >= day_length)`` pushes ``(when, key, event)`` onto
   the far heap (the PR 3 tuple layout, compared entirely in C).  When
   the drain reaches ``far[0]``'s cycle the events are *promoted* into
@@ -81,16 +81,22 @@ schedule under a tie-break hook that may sort it earlier — does
 unconsumed tail in place, reproducing the old heap's global-min
 semantics exactly.
 
-``run()`` dispatches to one of two loops.  The fast loop assumes no
-watchdog, no profiler, and no tracer, and keeps everything it touches
-in locals; the observed loop pays for
-:meth:`~repro.faults.watchdog.Watchdog.observe`, per-label cost
-accounting, and/or the per-event trace hook.  The split means a
-watchdog attached *while* ``run()`` is executing (from inside a
-callback) takes effect on the next ``run()``/``step()`` call, not
-mid-drain; every existing caller attaches before running.  ``run()``
-is not re-entrant — no callback calls ``sim.run()`` (the system layer
-owns the loop).
+``run()`` has one drain loop, and ``run()`` and ``step()`` observe
+events one way.  When no watchdog, profiler or trace hook is attached
+as the call starts, each event is dispatched as ``event.callback()``
+and ``run()`` adds its fired count to ``events_fired`` once, on the
+way out.  Otherwise each event goes through the per-event observation
+:meth:`Simulator._observer` builds at that moment: the profiling clock
+just before and just after the callback, the label-cost update,
+``events_fired``, :meth:`~repro.faults.watchdog.Watchdog.observe`,
+then the trace hook.  The count comes before the hooks, so a hook or a
+watchdog post-mortem reads an exact ``events_fired``.  The clock is
+captured when the observation is built; the watchdog and the hook are
+read again for each event.  So an observer attached *while* an
+unobserved ``run()`` is executing (from inside a callback) takes
+effect on the next ``run()``/``step()`` call, not mid-drain; every
+existing caller attaches before running.  ``run()`` is not re-entrant
+— no callback calls ``sim.run()`` (the system layer owns the loop).
 
 Cancellation marks the event dead in place.  Ring tombstones are
 skipped (and reclaimed) by the drain within one rotation, so the ring
@@ -104,7 +110,6 @@ from __future__ import annotations
 
 import heapq
 from operator import attrgetter
-from sys import intern as _intern_str
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.common import params
@@ -171,8 +176,9 @@ _DEFAULT_TIE_BREAK: Optional[TieBreak] = None
 def set_default_tie_break(key: Optional[TieBreak]) -> None:
     """Install ``key`` as the tie-break for new :class:`Simulator`\\ s.
 
-    ``None`` restores the native FIFO order.  Existing simulators are
-    unaffected — use :meth:`Simulator.set_tie_break` to re-key one.
+    ``None`` restores the native FIFO order.  Existing simulators keep
+    the order they were built with; ``Simulator(tie_break=...)`` sets
+    one instance's order.
     """
     global _DEFAULT_TIE_BREAK
     _DEFAULT_TIE_BREAK = key
@@ -187,7 +193,7 @@ def default_tie_break() -> Optional[TieBreak]:
 #: constructed afterwards (see :meth:`Simulator.enable_tracing`).  The
 #: tie-order sanitizer installs this to capture the (cycle, label)
 #: event stream of simulators built *inside* a sweep point, where it
-#: has no handle on the instance.  None keeps the fast run() loop.
+#: has no handle on the instance.  None leaves new simulators untraced.
 _DEFAULT_TRACE_HOOK: Optional[Callable[[str, int], None]] = None
 
 
@@ -308,17 +314,12 @@ class Simulator:
         self.watchdog = None
         # Optional host-side cost profiler (see repro.perf.profile):
         # ``_profile_clock`` returns float seconds, ``_label_costs`` maps
-        # label -> [count, total_s, min_s, max_s].  ``_interned`` dedups
-        # label strings at the schedule site while profiling, so the
-        # per-event cost-bucket lookup hits the interned-string fast
-        # path.  Never enabled by the engine itself, so default
-        # behaviour stays wall-clock free.
+        # label -> [count, total_s, min_s, max_s].  Never enabled by the
+        # engine itself, so default behaviour stays wall-clock free.
         self._profile_clock: Optional[Callable[[], float]] = None
         self._label_costs: Optional[Dict[str, List[float]]] = None
-        self._interned: Optional[Dict[str, str]] = None
         # Optional event tracer (see repro.obs.tracer.Tracer): called as
-        # hook(label, now) after every fired event.  When None, run()
-        # takes the fast loop and the hot path pays nothing.
+        # hook(label, now) after every fired event.
         self._trace_hook: Optional[Callable[[str, int], None]] = \
             _DEFAULT_TRACE_HOOK
 
@@ -337,8 +338,6 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         when = self.now + delay
-        if label and self._interned is not None:
-            label = self._intern_label(label)
         # Hottest allocation site in the simulator: build the Event with
         # plain slot stores instead of an __init__ frame.
         event = Event.__new__(Event)
@@ -378,80 +377,7 @@ class Simulator:
         now = self.now
         if when < now:
             raise SimulationError(f"cannot schedule at {when}, now is {now}")
-        seq = self._seq
-        self._seq = seq + 1
-        if label and self._interned is not None:
-            label = self._intern_label(label)
-        event = Event.__new__(Event)
-        event.when = when
-        event.seq = seq
-        event.callback = callback
-        event.label = label
-        event.phase = phase
-        event._sim = self
-        if when - now < self._day:
-            slot = when & self._mask
-            lst = self._ring[slot]
-            if not lst:
-                self._busy[slot] = 1
-            lst.append(event)
-            if when == now:
-                maxp = self._drain_maxp
-                if phase < maxp or (phase == maxp
-                                    and self._tie_break is not None):
-                    self._preempt = True
-                elif phase > maxp:
-                    self._drain_maxp = phase
-        else:
-            tie = self._tie_break
-            key = seq if tie is None else tie(seq)
-            if phase:
-                key += phase * _PHASE_STRIDE
-            event._in_far = True
-            heapq.heappush(self._far, (when, key, event))
-        return event
-
-    def _intern_label(self, label: str) -> str:
-        """Dedup ``label`` through the profiling intern table."""
-        interned = self._interned
-        cached = interned.get(label)  # type: ignore[union-attr]
-        if cached is None:
-            cached = _intern_str(label)
-            interned[cached] = cached  # type: ignore[index]
-        return cached
-
-    def set_tie_break(self, key: Optional[TieBreak]) -> None:
-        """Re-key equal-timestamp ordering for this simulator.
-
-        Applies to queued events too: ring slots are sorted with the
-        active tie-break at dispatch time (and normalized back to
-        sequence order here when ``key`` is None), and the far heap is
-        rebuilt, so a mid-run switch reorders any not-yet-fired ties as
-        well.  ``None`` restores FIFO (sequence order).
-        """
-        self._tie_break = key
-        far = self._far
-        if far:
-            far[:] = [
-                (when,
-                 (event.seq if key is None else key(event.seq))
-                 + event.phase * _PHASE_STRIDE,
-                 event)
-                for when, _key, event in far]
-            heapq.heapify(far)
-        if key is None:
-            # Hook order lives only in the dispatch-time sort; restore
-            # the FIFO invariant that slot lists are seq-ordered within
-            # each phase (a plain seq sort is stronger, and fine: the
-            # drain re-sorts by phase anyway).
-            for lst in self._ring:
-                if len(lst) > 1:
-                    lst.sort(key=_SEQ_KEY)
-        # When called from inside a callback this makes the drain
-        # re-sort the unconsumed tail of its slot under the new order,
-        # like the old heap re-keying did; outside a drain the stale
-        # flag only costs one redundant order-preserving re-sort.
-        self._preempt = True
+        return self.schedule(when - now, callback, label, phase)
 
     # ----------------------------------------------------------- cancelled
     def _note_cancel(self, event: Event) -> None:
@@ -487,12 +413,9 @@ class Simulator:
         Runs until the queue is empty, or the clock would pass ``until``
         (events at exactly ``until`` still fire).  Returns the final clock.
         """
-        if (self.watchdog is not None or self._profile_clock is not None
-                or self._trace_hook is not None):
-            return self._run_observed(until, max_events)
-
-        # Fast loop: hot names bound locally, no watchdog or profiler
-        # branches, events_fired flushed once on the way out.
+        # Hot names bound locally; an unobserved run flushes its fired
+        # count into events_fired once, on the way out.
+        observe = self._observer()
         ring = self._ring
         mask = self._mask
         day = self._day
@@ -599,7 +522,10 @@ class Simulator:
                             event._sim = None
                             continue
                         event._sim = None
-                        event.callback()
+                        if observe is None:
+                            event.callback()
+                        else:
+                            observe(event)
                         fired += 1
                         if fired >= max_events and self._seq > self._consumed:
                             self._raise_livelock(max_events)
@@ -625,150 +551,50 @@ class Simulator:
                     self.now = prev_now
                 c += 1
         finally:
-            self._events_fired += fired
+            if observe is None:
+                self._events_fired += fired
             self._preempt = False
 
-    def _run_observed(self, until: Optional[int], max_events: int) -> int:
-        """The watched/profiled/traced drain loop (see :meth:`run`).
+    def _observer(self) -> Optional[Callable[[Event], None]]:
+        """The per-event observation of :meth:`run` and :meth:`step`.
 
-        Structured identically to the fast loop, plus the per-event
-        watchdog/profiler/tracer work.
+        None when no watchdog, profiler or trace hook is attached: the
+        caller then dispatches ``event.callback()`` itself.  Otherwise a
+        function that fires one event and observes it, in this order:
+        the profiling clock just before and just after the callback,
+        the label-cost update, ``events_fired``, the watchdog, the trace
+        hook (see the module docstring).
         """
-        ring = self._ring
-        mask = self._mask
-        day = self._day
-        busy = self._busy
-        far = self._far
         clock = self._profile_clock
+        if (clock is None and self.watchdog is None
+                and self._trace_hook is None):
+            return None
         costs = self._label_costs
-        fired = 0
-        c = self.now
-        try:
-            while True:
-                # ---- locate the next busy cycle c (see run()) ----
-                if not far:
-                    if self._seq == self._consumed:
-                        if until is not None and until > self.now:
-                            self.now = until
-                        return self.now
-                    lst = ring[c & mask]
-                    if not lst:
-                        start = c & mask
-                        slot = busy.find(1, start)
-                        if slot < 0:
-                            slot = busy.find(1, 0, start) + day
-                        c += slot - start
-                        lst = ring[c & mask]
-                    if until is not None and c > until:
-                        self.now = until
-                        return until
+
+        def observe(event: Event) -> None:
+            if clock is not None:
+                start = clock()
+                event.callback()
+                elapsed = clock() - start
+                cost = costs.get(event.label)
+                if cost is None:
+                    costs[event.label] = [1, elapsed, elapsed, elapsed]
                 else:
-                    while True:
-                        if self._seq - self._consumed > len(far):
-                            lst = ring[c & mask]
-                            if not lst:
-                                stop = far[0][0] if far else None
-                                if until is not None and (stop is None
-                                                          or until < stop):
-                                    stop = until
-                                c = self._next_busy(c, stop)
-                                lst = ring[c & mask]
-                        elif far:
-                            c = far[0][0]
-                            lst = ring[c & mask]
-                        else:
-                            if until is not None and until > self.now:
-                                self.now = until
-                            return self.now
-                        if until is not None and c > until:
-                            self.now = until
-                            return until
-                        if far and far[0][0] <= c:
-                            self._promote(far, lst)
-                            if lst:
-                                break
-                            continue
-                        if lst:
-                            break
-                        self.now = until
-                        return until
-                n = len(lst)
-                if n > 1:
-                    tie = self._tie_break
-                    if tie is not None:
-                        lst.sort(key=_tie_key(tie))
-                    elif n == 2:
-                        a, b = lst
-                        if a.phase > b.phase:
-                            lst[0] = b
-                            lst[1] = a
-                    else:
-                        lst.sort(key=_PHASE_KEY)
-                    self._drain_maxp = lst[n - 1].phase
-                # n == 1 leaves _drain_maxp stale: the tail starts
-                # empty, so schedule()'s append rule re-establishes the
-                # invariant on its own and a stale-high value at worst
-                # raises a spurious preempt whose stable re-sort
-                # preserves the order exactly.
-                prev_now = self.now
-                self.now = c
-                cycle_fired = fired
-                j = 0
-                try:
-                    for event in lst:
-                        j += 1
-                        self._consumed += 1
-                        if event.cancelled:
-                            self._cancelled -= 1
-                            event._sim = None
-                            continue
-                        event._sim = None
-                        if clock is not None:
-                            start = clock()
-                            event.callback()
-                            elapsed = clock() - start
-                            cost = costs.get(event.label)
-                            if cost is None:
-                                costs[event.label] = [1, elapsed, elapsed,
-                                                      elapsed]
-                            else:
-                                cost[0] += 1
-                                cost[1] += elapsed
-                                if elapsed < cost[2]:
-                                    cost[2] = elapsed
-                                if elapsed > cost[3]:
-                                    cost[3] = elapsed
-                        else:
-                            event.callback()
-                        fired += 1
-                        self._events_fired += 1
-                        if self.watchdog is not None:
-                            self.watchdog.observe(event.label, self.now)
-                        if self._trace_hook is not None:
-                            self._trace_hook(event.label, self.now)
-                        if fired >= max_events and self._seq > self._consumed:
-                            self._raise_livelock(max_events)
-                        if self._preempt:
-                            self._preempt = False
-                            rest = lst[j:]
-                            if rest:
-                                tie = self._tie_break
-                                rest.sort(key=_PHASE_KEY if tie is None
-                                          else _tie_key(tie))
-                                lst[j:] = rest
-                                self._drain_maxp = rest[-1].phase
-                except BaseException:
-                    del lst[:j]
-                    if not lst:
-                        busy[c & mask] = 0
-                    raise
-                lst.clear()
-                busy[c & mask] = 0
-                if fired == cycle_fired:
-                    self.now = prev_now
-                c += 1
-        finally:
-            self._preempt = False
+                    cost[0] += 1
+                    cost[1] += elapsed
+                    if elapsed < cost[2]:
+                        cost[2] = elapsed
+                    if elapsed > cost[3]:
+                        cost[3] = elapsed
+            else:
+                event.callback()
+            self._events_fired += 1
+            if self.watchdog is not None:
+                self.watchdog.observe(event.label, self.now)
+            if self._trace_hook is not None:
+                self._trace_hook(event.label, self.now)
+
+        return observe
 
     def _next_busy(self, c: int, stop: Optional[int]) -> int:
         """The first cycle >= ``c`` whose ring slot is occupied.
@@ -864,10 +690,12 @@ class Simulator:
                     continue
                 event._sim = None
                 self.now = c
-                event.callback()
-                self._events_fired += 1
-                if self._trace_hook is not None:
-                    self._trace_hook(event.label, self.now)
+                observe = self._observer()
+                if observe is None:
+                    event.callback()
+                    self._events_fired += 1
+                else:
+                    observe(event)
                 return True
             # every event at cycle c was a tombstone — keep scanning
 
@@ -882,8 +710,6 @@ class Simulator:
         self._profile_clock = clock
         if self._label_costs is None:
             self._label_costs = {}
-        if self._interned is None:
-            self._interned = {}
 
     def disable_profiling(self) -> None:
         """Stop recording callback costs (retains collected data)."""
@@ -893,15 +719,16 @@ class Simulator:
     def enable_tracing(self, hook: Callable[[str, int], None]) -> None:
         """Invoke ``hook(label, now)`` after every fired event.
 
-        Like the watchdog/profiler, attaching mid-``run()`` takes effect
-        on the next ``run()``/``step()`` call.  The hook must not
-        schedule events — it observes the simulation, it is not part of
-        it (see :mod:`repro.obs`).
+        Like the watchdog/profiler, a hook attached mid-``run()`` to a
+        run that started unobserved takes effect on the next
+        ``run()``/``step()`` call.  The hook must not schedule events —
+        it observes the simulation, it is not part of it (see
+        :mod:`repro.obs`).
         """
         self._trace_hook = hook
 
     def disable_tracing(self) -> None:
-        """Detach the event trace hook; run() returns to the fast loop."""
+        """Detach the event trace hook."""
         self._trace_hook = None
 
     def label_costs(self) -> Dict[str, Dict[str, float]]:

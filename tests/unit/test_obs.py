@@ -48,6 +48,30 @@ class TestParseTraceSpec:
             parse_trace_spec("capacity=0")
 
 
+class _Observers:
+    """A fake profiling clock, a watchdog stand-in and a trace hook that
+    log their calls; the hook logs the engine's fired-event count."""
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self.log: list = []
+
+    def attach(self) -> None:
+        self.sim.enable_profiling(self.clock)
+        self.sim.watchdog = self
+        self.sim.enable_tracing(self.hook)
+
+    def clock(self) -> float:
+        self.log.append("clock")
+        return float(len(self.log))
+
+    def observe(self, _label: str, _now: int) -> None:
+        self.log.append("watchdog")
+
+    def hook(self, _label: str, _now: int) -> None:
+        self.log.append(("hook", self.sim.events_fired))
+
+
 class TestTracer:
     def _tracer(self, **kwargs) -> Tracer:
         return Tracer(Simulator(), TraceConfig(**kwargs))
@@ -122,32 +146,75 @@ class TestTracer:
         sim.run()
         assert len(samples) == 3
 
-    def test_disabled_engine_pays_no_tracer_callback(self, monkeypatch):
-        """Without observers run() must stay on the fast loop entirely."""
+    def test_disabled_engine_pays_no_tracer_callback(self):
+        """Detached observers are not called by the next run() or step(),
+        and label_costs() stops growing."""
         sim = Simulator()
-
-        def _boom(self, until, max_events):
-            raise AssertionError("observed loop entered without observers")
-
-        monkeypatch.setattr(Simulator, "_run_observed", _boom)
-        for i in range(5):
+        observers = _Observers(sim)
+        observers.attach()
+        sim.schedule(1, lambda: None, label="tick")
+        sim.run()
+        assert observers.log
+        costs = sim.label_costs()
+        sim.disable_tracing()
+        sim.disable_profiling()
+        sim.watchdog = None
+        observers.log.clear()
+        for i in range(4):
             sim.schedule(i, lambda: None, label="tick")
         sim.run()
-        assert sim.events_fired == 5
+        sim.schedule(1, lambda: None, label="tick")
+        assert sim.step()
+        assert observers.log == []
+        assert sim.label_costs() == costs
+        assert sim.events_fired == 6
 
-    def test_disable_tracing_returns_to_fast_loop(self, monkeypatch):
+    def test_disable_tracing_returns_to_fast_loop(self):
+        """Each observer detaches on its own: the next run() skips it and
+        still calls the others."""
         sim = Simulator()
-        calls = []
-        sim.enable_tracing(lambda label, now: calls.append(now))
-        sim.schedule(1, lambda: None)
-        sim.run()
-        assert calls
+        observers = _Observers(sim)
+        observers.attach()
+
+        def run_one() -> list:
+            observers.log.clear()
+            sim.schedule(1, lambda: None, label="tick")
+            sim.run()
+            return observers.log
+
+        assert run_one() == ["clock", "clock", "watchdog", ("hook", 1)]
         sim.disable_tracing()
-        monkeypatch.setattr(
-            Simulator, "_run_observed",
-            lambda self, until, max_events: pytest.fail("observed loop"))
-        sim.schedule(1, lambda: None)
-        sim.run()
+        assert run_one() == ["clock", "clock", "watchdog"]
+        assert sim.label_costs()["tick"]["count"] == 2
+        sim.disable_profiling()
+        assert run_one() == ["watchdog"]
+        assert sim.label_costs()["tick"]["count"] == 2
+        sim.watchdog = None
+        assert run_one() == []
+        assert sim.events_fired == 4
+
+    @pytest.mark.parametrize("drive", ["run", "step"])
+    def test_observation_order_per_event(self, drive):
+        """run() and step() observe each event the same way: clock,
+        callback, clock, watchdog, hook, with the event already counted
+        when the hook runs."""
+        sim = Simulator()
+        observers = _Observers(sim)
+        observers.attach()
+        for i in range(3):
+            sim.schedule(i, lambda: observers.log.append("callback"),
+                         label="tick")
+        if drive == "run":
+            sim.run()
+        else:
+            while sim.step():
+                pass
+        expected = []
+        for fired in (1, 2, 3):
+            expected += ["clock", "callback", "clock", "watchdog",
+                         ("hook", fired)]
+        assert observers.log == expected
+        assert sim.label_costs()["tick"]["count"] == 3
 
 
 class TestExport:
