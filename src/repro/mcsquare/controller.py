@@ -378,6 +378,8 @@ class McSquareController(MemoryController):
         as stale while *new* entries still source from the parked line —
         those must be materialized too or the entry would wait forever.
         """
+        if not len(self.bpq):
+            return  # called after every bounce writeback; most find none
         for entry in self.bpq.entries():
             if entry.pending_copies > 0:
                 continue
