@@ -8,9 +8,9 @@ infrastructure itself:
   supervisor that survives worker crashes (pool respawn + suspect
   isolation), enforces per-point wall-clock deadlines, retries with
   bounded deterministic backoff, and quarantines poison points;
-* :mod:`repro.resilience.deadline` — wall-clock and simulated-cycle
-  budgets (``REPRO_POINT_TIMEOUT``, ``REPRO_CYCLE_DEADLINE``) and the
-  retry/backoff knobs (``REPRO_POINT_RETRIES``, ``REPRO_RETRY_BACKOFF``);
+* :mod:`repro.resilience.deadline` — the wall-clock budget
+  (``REPRO_POINT_TIMEOUT``) and the retry/backoff knobs
+  (``REPRO_POINT_RETRIES``, ``REPRO_RETRY_BACKOFF``);
 * :mod:`repro.resilience.report` — structured failure reports, the
   explicit-:class:`~repro.resilience.report.Hole` results of the
   ``partial`` policy, and the per-sweep completion journal that makes
@@ -22,8 +22,7 @@ routes every parallel sweep through this layer.
 """
 
 from repro.resilience.deadline import (Backoff, backoff_from_env,
-                                       cycle_budget, max_attempts,
-                                       point_timeout)
+                                       max_attempts, point_timeout)
 from repro.resilience.report import (ATTEMPT_REASONS, FAILURE_KINDS,
                                      FailureReport, Hole, PointFailure,
                                      SweepJournal, is_hole, load_report)
@@ -41,7 +40,6 @@ __all__ = [
     "SweepJournal",
     "SweepOutcome",
     "backoff_from_env",
-    "cycle_budget",
     "is_hole",
     "load_report",
     "max_attempts",

@@ -1,18 +1,10 @@
 """Deadline and retry budgets for supervised sweeps.
 
-Two orthogonal budgets bound a sweep point:
-
-* the **wall-clock deadline** (:func:`point_timeout`) caps host seconds
-  per attempt.  It is derived from ``REPRO_SCALE`` (a paper-sized
-  ``full`` point legitimately runs orders of magnitude longer than a
-  ``quick`` one) and overridable with ``REPRO_POINT_TIMEOUT``; the
-  supervisor enforces it from the parent by killing the worker pool.
-* the **sim-cycle deadline** (:func:`cycle_budget`) caps simulated
-  cycles per run.  It is enforced *inside* the simulation by the
-  :class:`~repro.faults.watchdog.Watchdog` (pass it to
-  ``System.attach_watchdog(cycle_deadline=...)``), which raises
-  :class:`~repro.common.errors.DeadlineError`; the supervisor
-  classifies that as deterministic and quarantines without retrying.
+The **wall-clock deadline** (:func:`point_timeout`) caps host seconds
+per attempt.  It is derived from ``REPRO_SCALE`` (a paper-sized
+``full`` point legitimately runs orders of magnitude longer than a
+``quick`` one) and overridable with ``REPRO_POINT_TIMEOUT``; the
+supervisor enforces it from the parent by killing the worker pool.
 
 Retries use deterministic exponential backoff (:class:`Backoff`) — no
 jitter, so two identical failing sweeps behave identically (MC2002:
@@ -76,25 +68,6 @@ def point_timeout(scale: Optional[str] = None) -> Optional[float]:
     if scale_from_env(scale) == "full":
         return params.SWEEP_POINT_TIMEOUT_FULL_S
     return params.SWEEP_POINT_TIMEOUT_QUICK_S
-
-
-def cycle_budget(default: Optional[int] = None) -> Optional[int]:
-    """Simulated-cycle deadline from ``REPRO_CYCLE_DEADLINE``.
-
-    Opt-in: returns ``default`` (normally None = unbounded) when the
-    variable is unset, and None when it is explicitly disabled.  Pass
-    the result to ``System.attach_watchdog(cycle_deadline=...)``.
-    """
-    raw = os.environ.get("REPRO_CYCLE_DEADLINE", "").strip().lower()
-    if not raw:
-        return default
-    if raw in _OFF_TOKENS:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value > 0 else None
 
 
 def max_attempts() -> int:

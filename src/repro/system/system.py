@@ -295,9 +295,7 @@ class System:
 
         ``cycle_deadline`` additionally bounds total simulated time: a
         run whose clock passes it raises
-        :class:`~repro.common.errors.DeadlineError` (see
-        :func:`repro.resilience.deadline.cycle_budget` for the
-        ``REPRO_CYCLE_DEADLINE``-derived value).
+        :class:`~repro.common.errors.DeadlineError`.
         """
         watchdog = Watchdog(snapshot_fn=self.snapshot,
                             check_every=check_every,

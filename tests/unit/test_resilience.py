@@ -7,8 +7,7 @@ import pytest
 from repro.common import params
 from repro.common.errors import ConfigError, DeadlineError
 from repro.resilience.deadline import (Backoff, backoff_from_env,
-                                       cycle_budget, max_attempts,
-                                       point_timeout)
+                                       max_attempts, point_timeout)
 from repro.resilience.report import (FailureReport, Hole, PointFailure,
                                      SweepJournal, is_hole, load_report)
 
@@ -58,19 +57,6 @@ class TestPointTimeout:
     def test_malformed_env_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_POINT_TIMEOUT", "soon")
         assert point_timeout("quick") == params.SWEEP_POINT_TIMEOUT_QUICK_S
-
-
-class TestCycleBudget:
-    def test_opt_in_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CYCLE_DEADLINE", raising=False)
-        assert cycle_budget() is None
-        assert cycle_budget(default=5000) == 5000
-
-    def test_env_sets_and_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CYCLE_DEADLINE", "123456")
-        assert cycle_budget() == 123456
-        monkeypatch.setenv("REPRO_CYCLE_DEADLINE", "off")
-        assert cycle_budget(default=5000) is None
 
 
 class TestMaxAttempts:
