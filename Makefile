@@ -22,18 +22,20 @@ bench:
 bench-full:
 	REPRO_SCALE=full $(PYTHON) -m pytest benchmarks -x -q -p no:cacheprovider
 
-# The representative exhibits CI tracks (the Fig. 12 and Fig. 21
-# sweeps, the copy overhead of Fig. 2, the interposer, kernel COW and
-# pipe copy paths of Figs. 14, 18 and 19, the 8-thread write-heavy
-# MVCC runs of Figs. 16 and 17, whose bandwidth-bound asserts load the
-# WPQ drain path, the chained copies, CTT-full stalls and parallel
-# async frees of Figs. 15, 20 and 22, and the exhibits whose asserts
-# rest on the core's accounting: the mem-miss and stall cycles of
-# Fig. 3, the CLWB trains and MCLAZY latency of Fig. 10, the
-# store-buffer knee of Fig. 11 and the blocking loads of Fig. 13),
+# Every exhibit file CI runs in full, all but Fig. 23 (copyengine-smoke
+# runs its two-backend slice): the Fig. 12 and Fig. 21 sweeps, the
+# copy overhead of Fig. 2, the interposer, kernel COW and pipe copy
+# paths of Figs. 14, 18 and 19, the 8-thread write-heavy MVCC runs of
+# Figs. 16 and 17, whose bandwidth-bound asserts load the WPQ drain
+# path, the chained copies, CTT-full stalls and parallel async frees
+# of Figs. 15, 20 and 22, the exhibits whose asserts rest on the
+# core's accounting (the mem-miss and stall cycles of Fig. 3, the CLWB
+# trains and MCLAZY latency of Fig. 10, the store-buffer knee of
+# Fig. 11 and the blocking loads of Fig. 13), the copy-size CDF of
+# Fig. 4, Table I, the three ablations and the CXL sensitivity study),
 # then the events/sec gate against benchmarks/bench-baseline.json.
 bench-smoke:
-	REPRO_JOBS=2 $(PYTHON) -m pytest benchmarks/test_fig12_seq_access.py benchmarks/test_fig21_bpq_sweep.py benchmarks/test_fig14_protobuf.py benchmarks/test_fig18_hugepage_cow.py benchmarks/test_fig19_pipe.py benchmarks/test_fig02_copy_overhead.py benchmarks/test_fig16_mvcc_rmw.py benchmarks/test_fig17_mvcc_writeonly.py benchmarks/test_fig15_mongodb.py benchmarks/test_fig20_ctt_sweep.py benchmarks/test_fig22_ctt_free_scaling.py benchmarks/test_fig03_overhead_source.py benchmarks/test_fig10_copy_latency.py benchmarks/test_fig11_breakdown.py benchmarks/test_fig13_rand_access.py -x -q -p no:cacheprovider
+	REPRO_JOBS=2 $(PYTHON) -m pytest benchmarks/test_fig12_seq_access.py benchmarks/test_fig21_bpq_sweep.py benchmarks/test_fig14_protobuf.py benchmarks/test_fig18_hugepage_cow.py benchmarks/test_fig19_pipe.py benchmarks/test_fig02_copy_overhead.py benchmarks/test_fig16_mvcc_rmw.py benchmarks/test_fig17_mvcc_writeonly.py benchmarks/test_fig15_mongodb.py benchmarks/test_fig20_ctt_sweep.py benchmarks/test_fig22_ctt_free_scaling.py benchmarks/test_fig03_overhead_source.py benchmarks/test_fig10_copy_latency.py benchmarks/test_fig11_breakdown.py benchmarks/test_fig13_rand_access.py benchmarks/test_fig04_size_cdf.py benchmarks/test_table1_config.py benchmarks/test_ablation_wide_writeback.py benchmarks/test_ablation_interposer.py benchmarks/test_ablation_async_engine.py benchmarks/test_sensitivity_cxl.py -x -q -p no:cacheprovider
 	$(PYTHON) -m repro.perf gate
 
 # Re-record the machine-normalized perf baseline (run on an idle box).
