@@ -26,8 +26,6 @@ it is off by default and intended for debugging and for the test suite.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from repro.common.errors import SimulationError
 from repro.common.units import CACHELINE_SIZE
 
@@ -42,7 +40,9 @@ class ConsistencyChecker:
     def __init__(self, system):
         self.system = system
         self.checks_run = 0
-        self._event = None
+        # Bumped by every attach() and detach(): a tick runs a check
+        # only while the generation it was armed under is current.
+        self._armed = 0
 
     # ------------------------------------------------------------- verify
     def verify(self) -> None:
@@ -113,28 +113,33 @@ class ConsistencyChecker:
 
     # ------------------------------------------------------------- attach
     def attach(self, every_cycles: int = 10_000) -> None:
-        """Schedule periodic verification on the system's simulator."""
+        """Schedule periodic verification on the system's simulator.
+
+        Replaces any tick chain an earlier attach() started.
+        """
         if every_cycles <= 0:
             raise SimulationError("check period must be positive")
+        self._armed += 1
+        armed = self._armed
+        sim = self.system.sim
 
         def _tick() -> None:
-            # The armed event has fired: clear it first so a verify()
-            # failure leaves the checker cleanly detached instead of
-            # holding a stale (already-fired) event that detach() would
-            # uselessly cancel.
-            self._event = None
+            if self._armed != armed:
+                return  # detached or re-attached since it was queued
             self.verify()
             # Re-arm only while other work exists; otherwise the checker
             # would keep the simulation alive forever.
-            if self.system.sim.pending > 0:
-                self._event = self.system.sim.schedule(
-                    every_cycles, _tick, label="consistency-check")
+            if sim.pending > 0:
+                sim.schedule(every_cycles, _tick, label="consistency-check")
 
-        self._event = self.system.sim.schedule(every_cycles, _tick,
-                                               label="consistency-check")
+        sim.schedule(every_cycles, _tick, label="consistency-check")
 
     def detach(self) -> None:
-        """Cancel the periodic check."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        """Stop the periodic check.
+
+        Events cannot be cancelled, so a tick already queued still
+        fires at its cycle, but it runs no check and does not re-arm.
+        Detach after the queue has drained to leave the simulated
+        timeline untouched.
+        """
+        self._armed += 1

@@ -12,8 +12,8 @@ Calendar queue
 The scheduler is a *calendar queue* sized to the simulator's bounded
 latency horizon rather than a binary heap: a ring of ``day_length``
 per-cycle slots plus a small heap-backed *far list* for the rare
-event scheduled a full rotation or more ahead (watchdog timers, BPQ
-overflow timeouts, OS costs such as fork/page-fault latencies).
+event scheduled a full rotation or more ahead (OS costs such as fork
+and page-fault latencies).
 
 * ``schedule(delay < day_length)`` is an O(1) list append into
   ``ring[when & mask]``.  Because the drain pointer empties each slot
@@ -24,11 +24,11 @@ overflow timeouts, OS costs such as fork/page-fault latencies).
   state allocates nothing but the events themselves.
 * A ``bytearray`` *occupancy map* beside the ring holds 1 for every
   non-empty slot: set when an append (or a far-list promotion) fills
-  an empty slot, cleared when the slot drains.  ``run()`` and
-  ``step()`` find the next busy cycle with one ``bytearray.find`` over
-  it (wrapping at ``day_length``, capped at the far-list head and at
-  ``until``) instead of stepping through idle cycles one by one — a
-  long DRAM-bound run is mostly idle cycles.
+  an empty slot, cleared when the slot drains.  ``run()`` finds the
+  next busy cycle with one ``bytearray.find`` over it (wrapping at
+  ``day_length``, capped at the far-list head and at ``until``)
+  instead of stepping through idle cycles one by one — a long
+  DRAM-bound run is mostly idle cycles.
 * ``schedule(delay >= day_length)`` pushes ``(when, key, event)`` onto
   the far heap (the PR 3 tuple layout, compared entirely in C).  When
   the drain reaches ``far[0]``'s cycle the events are *promoted* into
@@ -81,11 +81,11 @@ schedule under a tie-break hook that may sort it earlier — does
 unconsumed tail in place, reproducing the old heap's global-min
 semantics exactly.
 
-``run()`` has one drain loop, and ``run()`` and ``step()`` observe
-events one way.  When no watchdog, profiler or trace hook is attached
-as the call starts, each event is dispatched as ``event.callback()``
-and ``run()`` adds its fired count to ``events_fired`` once, on the
-way out.  Otherwise each event goes through the per-event observation
+``run()`` is the only way to fire events, through one drain loop.
+When no watchdog, profiler or trace hook is attached as the call
+starts, each event is dispatched as ``event.callback()`` and
+``run()`` adds its fired count to ``events_fired`` once, on the way
+out.  Otherwise each event goes through the per-event observation
 :meth:`Simulator._observer` builds at that moment: the profiling clock
 just before and just after the callback, the label-cost update,
 ``events_fired``, :meth:`~repro.faults.watchdog.Watchdog.observe`,
@@ -94,16 +94,17 @@ watchdog post-mortem reads an exact ``events_fired``.  The clock is
 captured when the observation is built; the watchdog and the hook are
 read again for each event.  So an observer attached *while* an
 unobserved ``run()`` is executing (from inside a callback) takes
-effect on the next ``run()``/``step()`` call, not mid-drain; every
-existing caller attaches before running.  ``run()`` is not re-entrant
-— no callback calls ``sim.run()`` (the system layer owns the loop).
+effect on the next ``run()`` call, not mid-drain; every existing
+caller attaches before running.  ``run()`` is not re-entrant — no
+callback calls ``sim.run()`` (the system layer owns the loop).
 
-Cancellation marks the event dead in place.  Ring tombstones are
-skipped (and reclaimed) by the drain within one rotation, so the ring
-never needs compacting; only the far list — where a tombstone could
-otherwise sit for millions of cycles — is compacted once more than
-half of it is dead.  ``pending`` stays O(1) via live counters, exact
-even mid-callback.
+A scheduled event cannot be cancelled: it fires.  A component that
+stops wanting a queued callback makes the callback return early (see
+:meth:`repro.mcsquare.verification.ConsistencyChecker.detach`).  So
+the drain tests nothing per event, and ``pending`` is ``_seq -
+_consumed``, O(1) and exact even mid-callback.  The events a drain
+has already fired stay at the head of their cycle's slot until the
+slot is cleared; the introspection scan skips them by count.
 """
 
 from __future__ import annotations
@@ -119,10 +120,6 @@ Callback = Callable[[], None]
 
 #: Maps an event's insertion sequence number to its tie-break key.
 TieBreak = Callable[[int], int]
-
-#: Far lists below this size are never compacted: a handful of dead
-#: events is cheaper to pop through than to rebuild around.
-_COMPACT_MIN_QUEUE = 64
 
 #: Far-heap key offset per same-cycle phase.  Tie-break hooks must
 #: return keys with magnitude below this so phases stay totally ordered.
@@ -153,7 +150,8 @@ def _default_day_length() -> int:
     controller static traversals, two interconnect hops, one CTT
     broadcast, and an eight-burst train — rounded up to a power of two
     so the slot index is a mask.  Delays at or past this go to the
-    heap-backed far list (OS costs, watchdog timers, BPQ overflow).
+    heap-backed far list (OS costs such as fork and page-fault
+    latencies).
     """
     horizon = (params.DRAM_ROW_CONFLICT_CYCLES
                + 2 * params.MC_STATIC_LATENCY_CYCLES
@@ -214,20 +212,9 @@ def default_trace_hook() -> Optional[Callable[[str, int], None]]:
 
 
 class Event:
-    """A scheduled callback.  Cancellable; compare by (when, phase, seq)."""
+    """A scheduled callback; compares by (when, phase, seq)."""
 
-    # ``cancelled`` and ``_in_far`` are class-level defaults rather
-    # than per-instance stores: the schedule hot path never writes
-    # them, and the rare paths that flip them (cancel, a far-list
-    # schedule) shadow the default through the lazy ``__dict__`` slot.
-    __slots__ = ("when", "seq", "callback", "label", "phase", "_sim",
-                 "__dict__")
-
-    #: True once cancel() ran; flipping it is the cancellation itself.
-    cancelled = False
-    #: True while the event sits in the far heap (vs a ring slot):
-    #: only far tombstones are worth compacting.
-    _in_far = False
+    __slots__ = ("when", "seq", "callback", "label", "phase")
 
     def __init__(self, when: int, seq: int, callback: Callback, label: str = "",
                  phase: int = 0):
@@ -236,26 +223,13 @@ class Event:
         self.callback = callback
         self.label = label
         self.phase = phase
-        # Owning simulator while the event sits in its queue (cleared on
-        # dispatch) so cancel() can keep the live/cancelled counters
-        # exact even when called after the event already fired.
-        self._sim: Optional["Simulator"] = None
-
-    def cancel(self) -> None:
-        """Prevent this event from firing.  Safe to call repeatedly."""
-        if not self.cancelled:
-            self.cancelled = True
-            sim = self._sim
-            if sim is not None:
-                sim._note_cancel(self)
 
     def __lt__(self, other: "Event") -> bool:
         return ((self.when, self.phase, self.seq)
                 < (other.when, other.phase, other.seq))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event(when={self.when}, label={self.label!r}, {state})"
+        return f"Event(when={self.when}, label={self.label!r})"
 
 
 class Simulator:
@@ -288,18 +262,11 @@ class Simulator:
             tie_break if tie_break is not None else _DEFAULT_TIE_BREAK)
         self.now: int = 0
         self._events_fired = 0
-        # Live counters.  _seq already counts every event ever stored,
-        # so the schedule hot path keeps no second counter; _consumed
-        # counts events removed from the structures (fired, tombstones
-        # reclaimed, compacted away) and _cancelled the
-        # stored-but-cancelled subset.  Stored (ring + far, tombstones
-        # included) = _seq - _consumed; pending = stored - _cancelled;
-        # the ring's share is stored - len(_far).
+        # _seq already counts every event ever scheduled, so the
+        # schedule hot path keeps no second counter; _consumed counts
+        # the events fired.  Pending = _seq - _consumed; the ring's
+        # share is pending - len(_far).
         self._consumed = 0
-        self._cancelled = 0
-        # Cancelled events still sitting in the far heap (compaction
-        # trigger; ring tombstones self-clean within one rotation).
-        self._far_cancelled = 0
         # Drain state for same-cycle preemption: the highest phase
         # present in the slot being dispatched, and the flag schedule()
         # raises when a new same-cycle event must fire before the
@@ -346,7 +313,6 @@ class Simulator:
         event.callback = callback
         event.label = label
         event.phase = phase
-        event._sim = self
         if delay < self._day:
             slot = when & self._mask
             lst = self._ring[slot]
@@ -367,7 +333,6 @@ class Simulator:
             key = seq if tie is None else tie(seq)
             if phase:
                 key += phase * _PHASE_STRIDE
-            event._in_far = True
             heapq.heappush(self._far, (when, key, event))
         return event
 
@@ -378,33 +343,6 @@ class Simulator:
         if when < now:
             raise SimulationError(f"cannot schedule at {when}, now is {now}")
         return self.schedule(when - now, callback, label, phase)
-
-    # ----------------------------------------------------------- cancelled
-    def _note_cancel(self, event: Event) -> None:
-        """Account one freshly-cancelled queued event; maybe compact."""
-        self._cancelled += 1
-        if event._in_far:
-            self._far_cancelled += 1
-            far = self._far
-            if (len(far) >= _COMPACT_MIN_QUEUE
-                    and self._far_cancelled * 2 > len(far)):
-                self._compact()
-
-    def _compact(self) -> None:
-        """Drop every cancelled event from the far heap, in place.
-
-        In place (slice assignment, not rebinding) so any frame holding
-        a local reference keeps seeing the live list.  Ring tombstones
-        are not compacted: the drain reclaims them within one rotation.
-        """
-        far = self._far
-        before = len(far)
-        far[:] = [entry for entry in far if not entry[2].cancelled]
-        heapq.heapify(far)
-        removed = before - len(far)
-        self._consumed += removed
-        self._cancelled -= removed
-        self._far_cancelled = 0
 
     # ----------------------------------------------------------------- run
     def run(self, until: Optional[int] = None, max_events: int = 200_000_000) -> int:
@@ -450,38 +388,28 @@ class Simulator:
                         self.now = until
                         return until
                 else:
-                    while True:
-                        if self._seq - self._consumed > len(far):
+                    if self._seq - self._consumed > len(far):
+                        lst = ring[c & mask]
+                        if not lst:
+                            # Skip empty slots, capped at the far head /
+                            # until horizon.
+                            stop = far[0][0]
+                            if until is not None and until < stop:
+                                stop = until
+                            c = self._next_busy(c, stop)
                             lst = ring[c & mask]
-                            if not lst:
-                                # Skip empty slots, capped at the far
-                                # head / until horizon.
-                                stop = far[0][0] if far else None
-                                if until is not None and (stop is None
-                                                          or until < stop):
-                                    stop = until
-                                c = self._next_busy(c, stop)
-                                lst = ring[c & mask]
-                        elif far:
-                            c = far[0][0]
-                            lst = ring[c & mask]
-                        else:
-                            if until is not None and until > self.now:
-                                self.now = until
-                            return self.now
-                        if until is not None and c > until:
-                            self.now = until
-                            return until
-                        if far and far[0][0] <= c:
-                            # Far events due now: merge them into the
-                            # slot (raises if a poisoned entry went
-                            # backwards in time).
-                            self._promote(far, lst)
-                            if lst:
-                                break
-                            continue  # promoted only tombstones: rescan
-                        if lst:
-                            break
+                    else:
+                        c = far[0][0]
+                        lst = ring[c & mask]
+                    if until is not None and c > until:
+                        self.now = until
+                        return until
+                    if far[0][0] <= c:
+                        # Far events due now: merge them into the slot
+                        # (raises if a poisoned entry went backwards in
+                        # time).
+                        self._promote(far, lst)
+                    elif not lst:
                         # Empty slot, nothing far due: the scan stopped
                         # at the `until` horizon with nothing before it.
                         self.now = until
@@ -505,9 +433,7 @@ class Simulator:
                 # invariant on its own and a stale-high value at worst
                 # raises a spurious preempt whose stable re-sort
                 # preserves the order exactly.
-                prev_now = self.now
                 self.now = c
-                cycle_fired = fired
                 j = 0
                 try:
                     # Same-cycle schedules append to `lst` and the
@@ -517,11 +443,6 @@ class Simulator:
                     for event in lst:
                         j += 1
                         self._consumed += 1
-                        if event.cancelled:
-                            self._cancelled -= 1
-                            event._sim = None
-                            continue
-                        event._sim = None
                         if observe is None:
                             event.callback()
                         else:
@@ -545,10 +466,6 @@ class Simulator:
                     raise
                 lst.clear()
                 busy[c & mask] = 0
-                if fired == cycle_fired:
-                    # Every event this cycle was a tombstone: the clock
-                    # never observably reached c.
-                    self.now = prev_now
                 c += 1
         finally:
             if observe is None:
@@ -556,7 +473,7 @@ class Simulator:
             self._preempt = False
 
     def _observer(self) -> Optional[Callable[[Event], None]]:
-        """The per-event observation of :meth:`run` and :meth:`step`.
+        """The per-event observation of :meth:`run`.
 
         None when no watchdog, profiler or trace hook is attached: the
         caller then dispatches ``event.callback()`` itself.  Otherwise a
@@ -596,14 +513,14 @@ class Simulator:
 
         return observe
 
-    def _next_busy(self, c: int, stop: Optional[int]) -> int:
+    def _next_busy(self, c: int, stop: int) -> int:
         """The first cycle >= ``c`` whose ring slot is occupied.
 
         Capped at ``stop`` (the far head or ``until``) when ``c`` is
         below it, so the result may be an empty slot's cycle.  Every
         ring event lies within one rotation of ``c``, so one wrapped
         ``find`` over the occupancy map is a complete search; the
-        callers only ask while the ring holds at least one event.
+        caller only asks while the ring holds at least one event.
         """
         busy = self._busy
         start = c & self._mask
@@ -611,7 +528,7 @@ class Simulator:
         if slot < 0:
             slot = busy.find(1, 0, start) + self._day
         c_busy = c + slot - start
-        if stop is not None and c_busy > stop:
+        if c_busy > stop:
             return max(c, stop)
         return c_busy
 
@@ -630,19 +547,10 @@ class Simulator:
         if due < self.now:
             raise SimulationError("event queue went backwards in time")
         while far and far[0][0] == due:
-            _when, _key, event = heappop(far)
-            if event.cancelled:
-                self._consumed += 1
-                self._cancelled -= 1
-                self._far_cancelled -= 1
-                event._sim = None
-                continue
-            event._in_far = False
-            lst.append(event)
-        if lst:
-            self._busy[due & self._mask] = 1
-            if len(lst) > 1:
-                lst.sort(key=_SEQ_KEY)
+            lst.append(heappop(far)[2])
+        self._busy[due & self._mask] = 1
+        if len(lst) > 1:
+            lst.sort(key=_SEQ_KEY)
 
     def _raise_livelock(self, max_events: int) -> None:
         message = f"exceeded {max_events} events; likely a livelock"
@@ -651,53 +559,6 @@ class Simulator:
             post_mortem = self.watchdog.post_mortem(
                 f"event budget of {max_events} exhausted")
         raise LivelockError(message, post_mortem=post_mortem)
-
-    def step(self) -> bool:
-        """Fire the single next pending event.  Returns False when idle."""
-        ring = self._ring
-        mask = self._mask
-        busy = self._busy
-        far = self._far
-        c = self.now
-        while True:
-            if self._seq - self._consumed > len(far):
-                lst = ring[c & mask]
-                if not lst:
-                    c = self._next_busy(c, far[0][0] if far else None)
-                    lst = ring[c & mask]
-            elif far:
-                c = far[0][0]
-                lst = ring[c & mask]
-            else:
-                return False
-            if far and far[0][0] <= c:
-                self._promote(far, lst)
-            if not lst:
-                continue
-            if c < self.now:
-                raise SimulationError("event queue went backwards in time")
-            tie = self._tie_break
-            if len(lst) > 1:
-                lst.sort(key=_PHASE_KEY if tie is None else _tie_key(tie))
-            while lst:
-                event = lst.pop(0)
-                if not lst:
-                    busy[c & mask] = 0
-                self._consumed += 1
-                if event.cancelled:
-                    self._cancelled -= 1
-                    event._sim = None
-                    continue
-                event._sim = None
-                self.now = c
-                observe = self._observer()
-                if observe is None:
-                    event.callback()
-                    self._events_fired += 1
-                else:
-                    observe(event)
-                return True
-            # every event at cycle c was a tombstone — keep scanning
 
     # ----------------------------------------------------------- profiling
     def enable_profiling(self, clock: Callable[[], float]) -> None:
@@ -720,10 +581,9 @@ class Simulator:
         """Invoke ``hook(label, now)`` after every fired event.
 
         Like the watchdog/profiler, a hook attached mid-``run()`` to a
-        run that started unobserved takes effect on the next
-        ``run()``/``step()`` call.  The hook must not schedule events —
-        it observes the simulation, it is not part of it (see
-        :mod:`repro.obs`).
+        run that started unobserved takes effect on the next ``run()``
+        call.  The hook must not schedule events — it observes the
+        simulation, it is not part of it (see :mod:`repro.obs`).
         """
         self._trace_hook = hook
 
@@ -746,21 +606,22 @@ class Simulator:
 
     # -------------------------------------------------------- introspection
     def _live_events(self) -> Iterator[Event]:
-        """Yield every live (queued, not cancelled) event, any order."""
-        for lst in self._ring:
-            for event in lst:
-                # _sim distinguishes the unconsumed tail from the
-                # already-dispatched prefix of the slot being drained.
-                if event._sim is self and not event.cancelled:
-                    yield event
+        """Yield every pending (queued, not yet fired) event, any order."""
+        ring = self._ring
+        # Mid-drain, the events already fired this cycle stay stored at
+        # the head of the current cycle's slot until it is cleared:
+        # skip as many as are stored beyond the pending count.
+        fired = sum(map(len, ring)) + len(self._far) - self.pending
+        current = ring[self.now & self._mask]
+        for lst in ring:
+            yield from (lst[fired:] if lst is current else lst)
         for _when, _key, event in self._far:
-            if not event.cancelled:
-                yield event
+            yield event
 
     @property
     def pending(self) -> int:
-        """Number of not-yet-cancelled events still queued.  O(1)."""
-        return self._seq - self._consumed - self._cancelled
+        """Number of events queued and not yet fired.  O(1)."""
+        return self._seq - self._consumed
 
     def queue_labels(self, limit: Optional[int] = None) -> Dict[str, int]:
         """Histogram of pending-event labels, most frequent first.

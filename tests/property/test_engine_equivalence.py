@@ -3,20 +3,21 @@
 The calendar-queue engine replaced a binary heap whose dispatch order
 *was* the repo's ordering contract: pop by ``(when, key)`` with
 ``key = tie(seq) + phase * 2**40``.  This test keeps that old engine
-alive as a ~40-line oracle (:class:`_HeapScheduler`, distilled from the
-pre-rewrite ``sim/engine.py``) and drives randomized
-schedule/cancel/run workloads — including callback-time schedules and
-cancels, partial ``run(until)`` drains, and far-list-crossing delays —
-through both.  The (cycle, phase, label) dispatch sequences must be
-identical under every installed tie break: fifo (native), lifo, and
-the ``seeded:N`` Weyl hash used by ``REPRO_TIE_ORDER``.
+alive as a ~30-line oracle (:class:`_HeapScheduler`, distilled from the
+pre-rewrite ``sim/engine.py``) and drives randomized schedule/run
+workloads — including callback-time schedules, partial ``run(until)``
+drains, and far-list-crossing delays — through both.  The (cycle,
+phase, label) dispatch sequences and the clock after each partial
+drain must be identical under every installed tie break: fifo
+(native), lifo, and the ``seeded:N`` Weyl hash used by
+``REPRO_TIE_ORDER``.
 
-The scripts also single-step (``step()``), schedule exactly one cycle
-short of, at, and one past a full calendar rotation, and leave idle
-gaps longer than 64 cycles, so the run loops' jump to the next busy
-slot through the occupancy map is exercised across the far-list
-boundary and across wrap-around.  After every action the occupancy
-map must equal ``[bool(slot) for slot in ring]``.
+The scripts also schedule exactly one cycle short of, at, and one past
+a full calendar rotation, and leave idle gaps longer than 64 cycles,
+so the run loop's jump to the next busy slot through the occupancy map
+is exercised across the far-list boundary and across wrap-around.
+After every action the occupancy map must equal
+``[bool(slot) for slot in ring]``.
 """
 
 import heapq
@@ -33,25 +34,10 @@ _TIE_BREAKS = (
 )
 
 
-class _OracleEvent:
-    """Cancellation handle matching :class:`repro.sim.engine.Event`."""
-
-    __slots__ = ("callback", "cancelled", "fired")
-
-    def __init__(self, callback):
-        self.callback = callback
-        self.cancelled = False
-        self.fired = False
-
-    def cancel(self) -> None:
-        if not self.fired:
-            self.cancelled = True
-
-
 class _HeapScheduler:
     """The pre-calendar-queue engine, reduced to its ordering contract.
 
-    One global heap of ``(when, key, seq, event)`` entries where
+    One global heap of ``(when, key, seq, callback)`` entries where
     ``key = tie(seq) + phase * _PHASE_STRIDE`` — exactly the retired
     implementation's ordering (``seq`` added as a tiebreak column only
     to keep tuples comparable; the real engine relied on tie keys being
@@ -70,36 +56,18 @@ class _HeapScheduler:
         self._seq = seq + 1
         key = seq if self._tie is None else self._tie(seq)
         key += phase * _PHASE_STRIDE
-        event = _OracleEvent(callback)
-        heapq.heappush(self._queue, (self.now + delay, key, seq, event))
-        return event
-
-    def step(self):
-        queue = self._queue
-        while queue:
-            when, _key, _seq, event = heapq.heappop(queue)
-            if event.cancelled:
-                continue
-            event.fired = True
-            self.now = when
-            event.callback()
-            return True
-        return False
+        heapq.heappush(self._queue, (self.now + delay, key, seq, callback))
 
     def run(self, until=None):
         queue = self._queue
         while queue:
-            when, _key, _seq, event = queue[0]
-            if event.cancelled:
-                heapq.heappop(queue)
-                continue
+            when = queue[0][0]
             if until is not None and when > until:
                 self.now = until
                 return until
-            heapq.heappop(queue)
-            event.fired = True
+            callback = heapq.heappop(queue)[3]
             self.now = when
-            event.callback()
+            callback()
         if until is not None and until > self.now:
             self.now = until
         return self.now
@@ -118,30 +86,19 @@ def workloads(draw, day=16):
     """A script both schedulers replay identically.
 
     Top-level actions: schedule an event (with children its callback
-    schedules and an optional handle its callback cancels), cancel a
-    handle from outside, fire single events with ``step()``, or
-    partially drain with ``run(until)``.  ``day`` is the calendar's
-    rotation, so delays straddle its far-list boundary.
+    schedules), or partially drain with ``run(until)``.  ``day`` is the
+    calendar's rotation, so delays straddle its far-list boundary.
     """
     actions = []
     for _ in range(draw(st.integers(2, 40))):
-        kind = draw(st.sampled_from(
-            ("schedule", "schedule", "schedule", "cancel", "step",
-             "run_until")))
-        if kind == "schedule":
+        if draw(st.integers(0, 3)):
             children = draw(st.lists(
                 st.tuples(_delays(40, day),
                           st.sampled_from((0, 0, 0, 1, 2))),
                 max_size=3))
-            cancel_target = draw(st.one_of(
-                st.none(), st.integers(0, 200)))
             actions.append(("schedule", draw(_delays(90, day)),
                             draw(st.sampled_from((0, 0, 0, 1, 2))),
-                            children, cancel_target))
-        elif kind == "cancel":
-            actions.append(("cancel", draw(st.integers(0, 200))))
-        elif kind == "step":
-            actions.append(("step", draw(st.integers(1, 3))))
+                            children))
         else:
             actions.append(("run_until", draw(_delays(50, day))))
     return actions
@@ -165,34 +122,25 @@ def _replay(sched, actions, check=None):
     ``check(sched)``, when given, runs after every action and at the end.
     """
     log = []
-    handles = []
 
-    def make_callback(label, phase, children, cancel_target):
+    def make_callback(label, phase, children):
         def callback():
             log.append((sched.now, phase, label))
             for j, (cdelay, cphase) in enumerate(children):
                 clabel = f"{label}.c{j}"
-                handles.append(sched.schedule(
-                    cdelay, make_callback(clabel, cphase, (), None),
-                    clabel, cphase))
-            if cancel_target is not None and handles:
-                handles[cancel_target % len(handles)].cancel()
+                sched.schedule(cdelay, make_callback(clabel, cphase, ()),
+                               clabel, cphase)
         return callback
 
     for i, action in enumerate(actions):
         if action[0] == "schedule":
-            _, delay, phase, children, cancel_target = action
+            _, delay, phase, children = action
             label = f"e{i}"
-            handles.append(sched.schedule(
-                delay, make_callback(label, phase, children, cancel_target),
-                label, phase))
-        elif action[0] == "cancel" and handles:
-            handles[action[1] % len(handles)].cancel()
-        elif action[0] == "step":
-            for _ in range(action[1]):
-                log.append(("step", sched.step(), sched.now))
-        elif action[0] == "run_until":
+            sched.schedule(delay, make_callback(label, phase, children),
+                           label, phase)
+        else:
             sched.run(until=sched.now + action[1])
+            log.append(("until", sched.now))
         if check is not None:
             check(sched)
     sched.run()

@@ -1,79 +1,77 @@
 """Property test: the O(1) ``pending`` counter vs. an O(n) queue scan.
 
-The engine keeps ``pending = _seq - _consumed - _cancelled`` as live
-counters so sweeps can poll it without walking the calendar.  They are
-touched from schedule, cancel (including double-cancel and post-fire
-cancel), dispatch, far-list promotion, and compaction — this test
-drives random interleavings of all of them and checks the counter
-against the ground truth at every step.  Small ``day_length`` values
-push part of the workload through the far list and its promotion path.
+The engine keeps ``pending = _seq - _consumed`` as a live counter so
+sweeps can poll it without walking the calendar, and
+:meth:`Simulator._live_events` (behind ``queue_labels`` and the
+watchdog post-mortem) must list exactly the events not yet fired.
+Mid-drain, the events a cycle has already fired still sit at the head
+of its slot, and the scan skips them by count.  This test drives random
+schedules, callback-time schedules at mixed phases (including
+same-cycle ones that must fire before the rest of the slot) and
+partial ``run(until)`` drains, and checks both against the ground truth
+after every action and from inside every callback.  Small
+``day_length`` values push part of the workload through the far list
+and its promotion path; a lifo tie break makes every same-cycle,
+same-phase schedule preempt too.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
 
-
-def _scan(sim: Simulator) -> int:
-    """Ground truth: count live events by walking ring + far list."""
-    return sum(1 for _ in sim._live_events())
+_PHASES = st.sampled_from((0, 0, 1, 2))
 
 
 @st.composite
-def schedules(draw):
-    """A sequence of schedule/cancel/step/run-until actions."""
-    steps = []
-    for _ in range(draw(st.integers(1, 60))):
-        kind = draw(st.sampled_from(
-            ("schedule", "cancel", "cancel", "step", "run_until")))
-        if kind == "schedule":
-            steps.append(("schedule", draw(st.integers(0, 50))))
-        elif kind == "cancel":
-            steps.append(("cancel", draw(st.integers(0, 200))))
-        elif kind == "run_until":
-            steps.append(("run_until", draw(st.integers(0, 30))))
+def scripts(draw):
+    """Schedule actions, each with the children its callback schedules,
+    interleaved with partial drains."""
+    actions = []
+    for _ in range(draw(st.integers(1, 40))):
+        if draw(st.integers(0, 3)):
+            children = draw(st.lists(
+                st.tuples(st.sampled_from((0, 0, 1, 5, 20)), _PHASES),
+                max_size=3))
+            actions.append(("schedule", draw(st.integers(0, 50)),
+                            draw(_PHASES), children))
         else:
-            steps.append(("step",))
-    return steps
+            actions.append(("run_until", draw(st.integers(0, 30))))
+    return actions
 
 
 @settings(max_examples=150, deadline=None)
-@given(schedules(), st.sampled_from((1, 4, 16, None)))
-def test_pending_counter_matches_queue_scan(steps, day_length):
-    sim = Simulator(day_length=day_length)
-    events = []
-    for step in steps:
-        if step[0] == "schedule":
-            events.append(sim.schedule(step[1], lambda: None))
-        elif step[0] == "cancel" and events:
-            # Arbitrary target: may already be cancelled or fired.
-            events[step[1] % len(events)].cancel()
-        elif step[0] == "run_until":
-            sim.run(until=sim.now + step[1])
-        elif step[0] == "step":
-            sim.step()
-        assert sim.pending == _scan(sim), (
-            f"pending counter diverged after {step}")
+@given(scripts(), st.sampled_from((1, 4, 16, None)),
+       st.sampled_from((None, lambda seq: -seq)))
+def test_pending_counter_matches_queue_scan(actions, day_length, tie):
+    sim = Simulator(tie_break=tie, day_length=day_length)
+    queued = set()  # labels scheduled and not yet fired
+
+    def check(where):
+        live = sorted(event.label for event in sim._live_events())
+        assert live == sorted(queued), f"queue scan diverged {where}"
+        assert sim.pending == len(live), f"pending diverged {where}"
+
+    def make(label, children):
+        def callback():
+            queued.remove(label)
+            check(f"inside {label} at cycle {sim.now}")
+            for j, (delay, phase) in enumerate(children):
+                child = f"{label}.{j}"
+                queued.add(child)
+                sim.schedule(delay, make(child, ()), child, phase)
+                check(f"after {label} scheduled {child}")
+        return callback
+
+    for i, action in enumerate(actions):
+        if action[0] == "schedule":
+            _, delay, phase, children = action
+            label = f"e{i}"
+            queued.add(label)
+            sim.schedule(delay, make(label, children), label, phase)
+        else:
+            sim.run(until=sim.now + action[1])
+        check(f"after {action}")
     # Drain completely: a fully-run queue has nothing pending.
     sim.run()
-    assert sim.pending == _scan(sim) == 0
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(0, 20), min_size=1, max_size=30),
-       st.sampled_from((4, None)))
-def test_pending_survives_cancel_from_callback(delays, day_length):
-    """Events cancelled *by a running callback* keep the counter exact."""
-    sim = Simulator(day_length=day_length)
-    scheduled = []
-
-    def cancel_half() -> None:
-        for event in scheduled[::2]:
-            event.cancel()
-
-    for delay in delays:
-        scheduled.append(sim.schedule(delay, lambda: None))
-    sim.schedule(0, cancel_half)
-    while sim.step():
-        assert sim.pending == _scan(sim)
+    check("after the final drain")
     assert sim.pending == 0

@@ -49,3 +49,6 @@ class TestCli:
         assert main(["demo"]) == 0
         out = capsys.readouterr().out
         assert "lazy" in out and "eager" in out
+        # The consistency checker observes the run; it must not move it.
+        assert main(["demo", "--paranoid"]) == 0
+        assert capsys.readouterr().out == out

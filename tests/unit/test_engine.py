@@ -60,23 +60,6 @@ class TestScheduling:
         assert seen == [("outer", 10), ("inner", 15)]
 
 
-class TestCancel:
-    def test_cancelled_event_does_not_fire(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule(10, lambda: fired.append(1))
-        event.cancel()
-        sim.run()
-        assert fired == []
-
-    def test_cancel_is_idempotent(self):
-        sim = Simulator()
-        event = sim.schedule(10, lambda: None)
-        event.cancel()
-        event.cancel()
-        sim.run()
-
-
 class TestRunUntil:
     def test_until_stops_before_later_events(self):
         sim = Simulator()
@@ -102,55 +85,7 @@ class TestRunUntil:
         assert sim.now == 123
 
 
-class TestStep:
-    def test_step_fires_one_event(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1, lambda: fired.append("a"))
-        sim.schedule(2, lambda: fired.append("b"))
-        assert sim.step()
-        assert fired == ["a"]
-        assert sim.step()
-        assert fired == ["a", "b"]
-        assert not sim.step()
-
-    def test_pending_counts_live_events(self):
-        sim = Simulator()
-        event = sim.schedule(1, lambda: None)
-        sim.schedule(2, lambda: None)
-        assert sim.pending == 2
-        event.cancel()
-        assert sim.pending == 1
-
-
-def _live_scan(sim):
-    """The O(n) definition of pending the counter must agree with."""
-    return sum(1 for _ in sim._live_events())
-
-
 class TestPendingCounter:
-    def test_pending_matches_scan_after_cancels(self):
-        sim = Simulator()
-        events = [sim.schedule(i + 1, lambda: None) for i in range(10)]
-        for event in events[::2]:
-            event.cancel()
-        assert sim.pending == _live_scan(sim) == 5
-
-    def test_cancel_after_fire_does_not_corrupt_count(self):
-        sim = Simulator()
-        fired = sim.schedule(1, lambda: None)
-        sim.schedule(2, lambda: None)
-        sim.run(until=1)
-        fired.cancel()          # already popped: must be a no-op
-        assert sim.pending == _live_scan(sim) == 1
-
-    def test_self_cancel_during_callback(self):
-        sim = Simulator()
-        holder = {}
-        holder["e"] = sim.schedule(1, lambda: holder["e"].cancel())
-        sim.run()
-        assert sim.pending == _live_scan(sim) == 0
-
     def test_pending_accurate_from_within_callback(self):
         # verification.ConsistencyChecker reads sim.pending mid-run.
         sim = Simulator()
@@ -159,73 +94,6 @@ class TestPendingCounter:
         sim.schedule(2, lambda: None)
         sim.run()
         assert seen == [1]
-
-
-class TestCompaction:
-    # Compaction applies to the far list (events a calendar rotation or
-    # more out); a small day_length pushes ordinary delays there.  Ring
-    # tombstones are reclaimed by the drain instead (see below).
-
-    def test_cancelled_majority_is_compacted(self):
-        sim = Simulator(day_length=16)
-        events = [sim.schedule(16 + i, lambda: None) for i in range(200)]
-        for event in events[:150]:
-            event.cancel()
-        # Compaction kicked in: the far heap shrank and the dead
-        # fraction never exceeds half of it.
-        assert sim.pending == 50
-        assert len(sim._far) < 200
-        dead = len(sim._far) - sim.pending
-        assert dead * 2 <= len(sim._far)
-        order = []
-        for event in events[150:]:
-            event.callback = (lambda w=event.when: order.append(w))
-        sim.run()
-        assert order == sorted(order)
-        assert len(order) == 50
-
-    def test_small_queues_are_not_compacted(self):
-        sim = Simulator(day_length=16)
-        events = [sim.schedule(16 + i, lambda: None) for i in range(10)]
-        for event in events:
-            event.cancel()
-        # Below the compaction floor: dead events linger until promoted.
-        assert len(sim._far) == 10
-        assert sim.pending == 0
-        sim.run()
-        assert len(sim._far) == 0
-
-    def test_compaction_during_run_preserves_order(self):
-        sim = Simulator(day_length=16)
-        fired = []
-        victims = []
-
-        def killer():
-            for event in victims:
-                event.cancel()
-
-        sim.schedule(1, killer)
-        victims.extend(sim.schedule(50, lambda: fired.append("dead"))
-                       for _ in range(200))
-        for t in (10, 20, 30):
-            sim.schedule(t, lambda t=t: fired.append(t))
-        sim.run()
-        assert fired == [10, 20, 30]
-        assert sim.pending == 0
-
-    def test_ring_tombstones_reclaimed_by_drain(self):
-        # Near-horizon cancellations never trigger compaction: the
-        # drain skips them in place and the bucket empties within one
-        # rotation, with the counters staying exact throughout.
-        sim = Simulator()
-        events = [sim.schedule(5, lambda: None) for _ in range(100)]
-        for event in events:
-            event.cancel()
-        assert sim.pending == 0
-        assert len(sim._far) == 0
-        sim.run()
-        assert sim.now == 0          # tombstones never advance the clock
-        assert _live_scan(sim) == 0
 
 
 class TestProfilingHook:
@@ -316,10 +184,8 @@ class TestTimeMonotonicity:
         sim.run()
         assert sim.now == 10
         poisoned = Event(3, 999, lambda: None)
-        poisoned._sim = sim
-        poisoned._in_far = True
         heapq.heappush(sim._far, (3, 999, poisoned))
-        # Stored = _seq - _consumed: account the smuggled event so the
+        # Pending = _seq - _consumed: account the smuggled event so the
         # locate loop sees it.
         sim._consumed -= 1
         return sim
@@ -329,22 +195,22 @@ class TestTimeMonotonicity:
         with pytest.raises(SimulationError, match="backwards"):
             sim.run()
 
-    def test_step_rejects_backwards_time(self):
-        sim = self._poisoned_queue()
-        with pytest.raises(SimulationError, match="backwards"):
-            sim.step()
-
     def test_queue_labels_histogram(self):
         sim = Simulator()
-        sim.schedule(1, lambda: None, label="alpha")
+        inside = []
+        sim.schedule(1, lambda: None, label="gamma")
         sim.schedule(2, lambda: None, label="alpha")
-        sim.schedule(3, lambda: None, label="beta")
-        cancelled = sim.schedule(4, lambda: None, label="gamma")
-        cancelled.cancel()
+        sim.schedule(2, lambda: inside.append(sim.queue_labels()),
+                     label="alpha")
+        sim.schedule(2, lambda: None, label="beta")
+        sim.schedule(3, lambda: None, label="alpha")
         sim.schedule(5, lambda: None)
+        sim.run(until=1)
         labels = sim.queue_labels()
-        assert labels["alpha"] == 2
-        assert labels["beta"] == 1
-        assert labels["<unlabelled>"] == 1
-        assert "gamma" not in labels
+        assert labels == {"alpha": 3, "beta": 1, "<unlabelled>": 1}
+        assert "gamma" not in labels  # fired
         assert list(sim.queue_labels(limit=1)) == ["alpha"]
+        sim.run()
+        # Mid-drain, the events already fired this cycle (the running
+        # one included) are not queued any more.
+        assert inside == [{"alpha": 1, "beta": 1, "<unlabelled>": 1}]

@@ -5,10 +5,8 @@ out; everything at or past the horizon sits in a heap until its cycle
 comes around.  These tests pin the seams of that split: delays beyond
 one (and several) full rotations, the degenerate one-slot calendar,
 ``schedule_at`` in the past, ``run(until)`` stopping short of the far
-head, ``step()`` across a promotion, and ``max_events`` off-by-one
-behaviour matching the retired heap engine (a budget exhausted with
-only cancelled events left still livelocks, exactly as a non-empty
-heap did).
+head, and ``max_events`` off-by-one behaviour matching the retired heap
+engine.
 """
 
 import pytest
@@ -117,17 +115,6 @@ class TestRunUntilAndStepAcrossTheHorizon:
         sim.run(until=30)
         assert fired == [30] and sim.now == 30
 
-    def test_step_promotes_and_fires_exactly_one_event(self):
-        sim = Simulator(day_length=4)
-        fired = []
-        sim.schedule(21, lambda: fired.append("a"))
-        sim.schedule(21, lambda: fired.append("b"))
-        assert sim.step() is True
-        assert fired == ["a"] and sim.now == 21
-        assert sim.step() is True
-        assert fired == ["a", "b"]
-        assert sim.step() is False
-
 
 class TestMaxEventsParity:
     def test_budget_spent_with_far_work_remaining_raises(self):
@@ -144,15 +131,3 @@ class TestMaxEventsParity:
             sim.schedule(10 * (i + 1), lambda i=i: fired.append(i))
         sim.run(max_events=5)
         assert fired == [0, 1, 2, 3, 4]
-
-    def test_budget_spent_with_only_tombstones_left_raises(self):
-        # Heap-engine parity: cancelled-but-unreclaimed events kept the
-        # old queue non-empty at budget exhaustion, so it raised; the
-        # calendar queue's stored count includes tombstones the same way.
-        sim = Simulator(day_length=4)
-        for i in range(5):
-            sim.schedule(i + 1, lambda: None)
-        doomed = sim.schedule(40, lambda: None)
-        doomed.cancel()
-        with pytest.raises(SimulationError):
-            sim.run(max_events=5)

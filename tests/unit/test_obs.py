@@ -147,8 +147,8 @@ class TestTracer:
         assert len(samples) == 3
 
     def test_disabled_engine_pays_no_tracer_callback(self):
-        """Detached observers are not called by the next run() or step(),
-        and label_costs() stops growing."""
+        """Detached observers are not called by the next run(), full or
+        partial, and label_costs() stops growing."""
         sim = Simulator()
         observers = _Observers(sim)
         observers.attach()
@@ -164,10 +164,12 @@ class TestTracer:
             sim.schedule(i, lambda: None, label="tick")
         sim.run()
         sim.schedule(1, lambda: None, label="tick")
-        assert sim.step()
+        sim.schedule(2, lambda: None, label="tick")
+        sim.run(until=sim.now + 1)
         assert observers.log == []
         assert sim.label_costs() == costs
         assert sim.events_fired == 6
+        assert sim.pending == 1
 
     def test_disable_tracing_returns_to_fast_loop(self):
         """Each observer detaches on its own: the next run() skips it and
@@ -193,11 +195,11 @@ class TestTracer:
         assert run_one() == []
         assert sim.events_fired == 4
 
-    @pytest.mark.parametrize("drive", ["run", "step"])
+    @pytest.mark.parametrize("drive", ["run", "until"])
     def test_observation_order_per_event(self, drive):
-        """run() and step() observe each event the same way: clock,
-        callback, clock, watchdog, hook, with the event already counted
-        when the hook runs."""
+        """A full run() and one partial run(until) per cycle observe each
+        event the same way: clock, callback, clock, watchdog, hook, with
+        the event already counted when the hook runs."""
         sim = Simulator()
         observers = _Observers(sim)
         observers.attach()
@@ -207,8 +209,8 @@ class TestTracer:
         if drive == "run":
             sim.run()
         else:
-            while sim.step():
-                pass
+            for cycle in range(3):
+                sim.run(until=cycle)
         expected = []
         for fired in (1, 2, 3):
             expected += ["clock", "callback", "clock", "watchdog",

@@ -62,6 +62,36 @@ class TestVerify:
         system.sim.run()
         assert checker.checks_run == 0
 
+    def test_detached_tick_fires_but_checks_nothing(self):
+        system = System(small_system())
+        checker = ConsistencyChecker(system)
+        checker.attach(every_cycles=100)
+        system.sim.schedule(500, lambda: None, label="filler")
+        system.sim.run(until=250)
+        assert checker.checks_run == 2
+        checker.detach()
+        # The tick queued for cycle 300 still fires, runs no check and
+        # does not re-arm.
+        assert system.sim.queue_labels()["consistency-check"] == 1
+        system.sim.run(until=300)
+        assert "consistency-check" not in system.sim.queue_labels()
+        system.sim.run()
+        assert checker.checks_run == 2
+
+    def test_reattach_runs_one_tick_chain(self):
+        system = System(small_system())
+        checker = ConsistencyChecker(system)
+        checker.attach(every_cycles=100)
+        checker.detach()
+        checker.attach(every_cycles=100)
+        system.sim.schedule(550, lambda: None, label="filler")
+        system.sim.run()
+        # One chain: checks at 100..500, then one at 600 that finds the
+        # queue empty and stops.  The detached chain's tick checked
+        # nothing.
+        assert checker.checks_run == 6
+        assert system.sim.now == 600
+
     def test_bad_period_rejected(self):
         system = System(small_system())
         with pytest.raises(Exception):
@@ -103,7 +133,7 @@ class TestFailureDiagnostics:
             system.sim.schedule(100 * i, lambda: None, label="filler")
         with pytest.raises(ConsistencyError):
             system.sim.run()
-        # The failed tick cleared its event: detach() has nothing stale
-        # to cancel and a later attach() starts fresh.
-        assert checker._event is None
+        # The failed tick did not re-arm: no check is left queued.
+        assert "consistency-check" not in system.sim.queue_labels()
+        assert "filler" in system.sim.queue_labels()
         checker.detach()
