@@ -178,10 +178,6 @@ class Cache:
             return bytes(line.data)
         return None
 
-    def resident_lines(self) -> int:
-        """Total lines currently resident."""
-        return sum(len(s) for s in self._sets)
-
     def dirty_lines(self) -> List[CacheLine]:
         """All dirty lines (used to flush at end of a region of interest)."""
         return [line for cset in self._sets for line in cset.values()

@@ -1,11 +1,10 @@
 """Shared constants, units, and errors."""
 
 from repro.common import params, units
-from repro.common.errors import (AddressError, AlignmentError, CapacityError,
-                                 ConfigError, ProtectionFault, ReproError,
-                                 SimulationError)
+from repro.common.errors import (AddressError, AlignmentError, ConfigError,
+                                 ProtectionFault, ReproError, SimulationError)
 
 __all__ = [
     "params", "units", "ReproError", "ConfigError", "SimulationError",
-    "AddressError", "ProtectionFault", "AlignmentError", "CapacityError",
+    "AddressError", "ProtectionFault", "AlignmentError",
 ]

@@ -78,10 +78,6 @@ class FaultSpecError(ConfigError):
     """A fault-injection spec string could not be parsed."""
 
 
-class PoisonedDataError(ReproError):
-    """An operation consumed data marked poisoned (detected-uncorrectable)."""
-
-
 class AddressError(ReproError):
     """An access touched an unmapped or out-of-range address."""
 
@@ -93,6 +89,3 @@ class ProtectionFault(ReproError):
 class AlignmentError(ReproError):
     """An operation violated an alignment requirement (e.g. MCLAZY)."""
 
-
-class CapacityError(ReproError):
-    """A fixed-capacity hardware structure cannot accept a new entry."""

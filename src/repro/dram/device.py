@@ -166,7 +166,3 @@ class DramChannel:
                                   "dst_bank": dst_loc.bank,
                                   "lines": lines})
         return done
-
-    def earliest_start(self, now: int) -> int:
-        """Earliest cycle a new access could begin on this channel."""
-        return max(now, self.bus_free_at)

@@ -54,9 +54,8 @@ _TYPE_RANK = {
     PacketType.WRITE.value: 0,
     PacketType.MCLAZY.value: 1,
     PacketType.MCFREE.value: 2,
-    PacketType.CTT_UPDATE.value: 3,
-    PacketType.INMEM_COPY.value: 4,
-    PacketType.READ.value: 5,
+    PacketType.INMEM_COPY.value: 3,
+    PacketType.READ.value: 4,
 }
 
 
@@ -113,7 +112,7 @@ class Interconnect:
     @staticmethod
     def _grant_key(pkt: Packet):
         return (_TYPE_RANK[pkt.ptype._value_], pkt.addr, pkt.requestor,
-                pkt.is_bounce, pkt.is_prefetch)
+                pkt.is_prefetch)
 
     def _arbitrate(self) -> None:
         """Grant link slots to every packet issued this cycle."""

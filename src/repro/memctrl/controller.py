@@ -397,18 +397,6 @@ class MemoryController:
         self.sim.schedule_at(done, self._drain_one_write,
                              label="mc-wpq-next", phase=1)
 
-    def drain_wpq_fully(self) -> None:
-        """Flush every buffered write (used when quiescing the system)."""
-        while self._wpq or self._wpq_overflow:
-            pkt = self._wpq.popleft() if self._wpq \
-                else self._wpq_overflow.popleft()
-            self._retire_write(pkt)
-            if pkt.completed_at is None:
-                pkt.complete(self.sim.now)
-            loc = self.address_map.decode(pkt.addr)
-            self.channel.access(loc, self.sim.now)
-            self._write_drains.inc()
-
     # ------------------------------------------------------------ helpers
     def owns(self, addr: int) -> bool:
         """True when this controller's channel owns ``addr``."""

@@ -21,7 +21,6 @@ class PacketType(enum.Enum):
     WRITE = "write"              # write back / store a cacheline
     MCLAZY = "mclazy"            # register a prospective copy (broadcast)
     MCFREE = "mcfree"            # drop CTT entries covered by a buffer
-    CTT_UPDATE = "ctt_update"    # inter-MC snoop keeping CTTs consistent
     INMEM_COPY = "inmem_copy"    # in-DRAM row copy (RowClone / mirroring)
 
 
@@ -54,8 +53,8 @@ class Packet:
     requestor:
         Integer id of the issuing core (or -1 for hardware-generated
         traffic such as prefetches, bounces and async CTT frees).
-    is_prefetch / is_bounce / is_async_copy:
-        Provenance flags used for statistics and scheduling priorities.
+    is_prefetch:
+        Set on hardware prefetches; orders same-cycle link grants.
     poisoned:
         Set when the payload derives from a detected-uncorrectable memory
         error (SEC-DED double-bit).  Poison travels with the data — fills,
@@ -65,8 +64,8 @@ class Packet:
 
     __slots__ = (
         "ptype", "addr", "size", "src_addr", "on_complete",
-        "requestor", "is_prefetch", "is_bounce", "is_async_copy",
-        "copy_mode", "issued_at", "completed_at", "data", "poisoned",
+        "requestor", "is_prefetch", "copy_mode", "issued_at",
+        "completed_at", "data", "poisoned",
     )
 
     def __init__(
@@ -88,8 +87,6 @@ class Packet:
         self.on_complete = on_complete
         self.requestor = requestor
         self.is_prefetch = False
-        self.is_bounce = False
-        self.is_async_copy = False
         self.copy_mode: Optional[str] = None  # INMEM_COPY: rowclone|mirror
         self.issued_at: Optional[int] = None
         self.completed_at: Optional[int] = None
@@ -103,16 +100,6 @@ class Packet:
         self.on_complete = None
         if callback is not None:
             callback(self)
-
-    @property
-    def is_read(self) -> bool:
-        """True for READ packets."""
-        return self.ptype is READ
-
-    @property
-    def is_write(self) -> bool:
-        """True for WRITE packets."""
-        return self.ptype is WRITE
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         extra = f", src={self.src_addr:#x}" if self.src_addr is not None else ""

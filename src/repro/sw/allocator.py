@@ -41,11 +41,6 @@ class FreeListAllocator:
         """Total unallocated bytes (may be fragmented)."""
         return sum(size for _, size in self._free)
 
-    @property
-    def live_allocations(self) -> int:
-        """Number of outstanding allocations."""
-        return len(self._live)
-
     def owns(self, addr: int) -> bool:
         """True when ``addr`` is inside a live allocation."""
         for base, size in self._live.items():

@@ -105,5 +105,7 @@ class TestMaintenance:
 
     def test_clear(self, cache):
         cache.fill(0, bytes(64), now=0)
+        cache.fill(64, bytes(64), now=0)
         cache.clear()
-        assert cache.resident_lines() == 0
+        assert not cache.probe(0)
+        assert not cache.probe(64)

@@ -119,8 +119,3 @@ class TestDramChannel:
         t2 = ch.access(loc, now=0)
         assert t2 > t1
 
-    def test_earliest_start(self, amap):
-        ch = self._channel()
-        assert ch.earliest_start(5) == 5
-        done = ch.access(amap.decode(0), now=0)
-        assert ch.earliest_start(0) == done

@@ -96,16 +96,6 @@ class TestWrites:
         mc.receive(pkt)
         assert mc.wpq_fullness == 0.25
 
-    def test_drain_wpq_fully(self, rig):
-        sim, mc, backing = rig
-        for i in range(3):
-            pkt = Packet(PacketType.WRITE, i * CL, CL)
-            pkt.data = bytes([i]) * CL
-            mc.receive(pkt)
-        mc.drain_wpq_fully()
-        assert mc.wpq_occupancy == 0
-        assert mc.stats.counters["write_drains"].value == 3
-
 
 class TestOwnership:
     def test_owns_by_channel(self):

@@ -9,12 +9,6 @@ class TestPacket:
         # would be shared mutable state across forked sweep workers.
         assert not hasattr(Packet(PacketType.READ, 0), "id")
 
-    def test_kind_predicates(self):
-        assert Packet(PacketType.READ, 0).is_read
-        assert not Packet(PacketType.READ, 0).is_write
-        assert Packet(PacketType.WRITE, 0).is_write
-        assert not Packet(PacketType.MCLAZY, 0).is_read
-
     def test_complete_fires_once(self):
         fired = []
         pkt = Packet(PacketType.READ, 0,
@@ -36,8 +30,6 @@ class TestPacket:
     def test_provenance_flags_default_false(self):
         pkt = Packet(PacketType.READ, 0)
         assert not pkt.is_prefetch
-        assert not pkt.is_bounce
-        assert not pkt.is_async_copy
 
     def test_repr_includes_src(self):
         pkt = Packet(PacketType.MCLAZY, 0x40, 64, src_addr=0x80)
