@@ -65,7 +65,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.common.errors import ConfigError, ReproError, SweepError
+from repro.common.errors import ConfigError, SweepError
 from repro.perf.cache import (MISS, SimCache, Unkeyable, _sanitizer,
                               cache_enabled, point_key)
 from repro.perf.hostclock import host_seconds
@@ -73,7 +73,8 @@ from repro.resilience.deadline import (backoff_from_env, max_attempts,
                                        point_timeout, scale_from_env)
 from repro.resilience.report import (FailureReport, Hole, PointFailure,
                                      SweepJournal)
-from repro.resilience.supervisor import SupervisorConfig, run_supervised
+from repro.resilience.supervisor import (SupervisorConfig, failure_kind,
+                                         run_supervised)
 
 #: Set in forked workers so nested sweeps stay serial.
 _WORKER_ENV = "REPRO_PERF_WORKER"
@@ -226,15 +227,6 @@ def _export_spans(sweep_id: str) -> None:
         os.environ.get("REPRO_TRACE", ""),
         out_dir=os.environ.get("REPRO_TRACE_DIR"))
     obs_runtime.export_attempt_spans(sweep_id)
-
-
-def _failure_kind_of(exc: BaseException) -> str:
-    from repro.common.errors import DeadlineError, LivelockError
-    if isinstance(exc, DeadlineError):
-        return "sim-deadline"
-    if isinstance(exc, LivelockError):
-        return "livelock"
-    return "error"
 
 
 class _Journal:
@@ -441,8 +433,7 @@ def _run_serial(points, misses, keys, policy, on_done, on_attempt):
         except Exception as exc:  # noqa: BLE001 - classified below
             end = host_seconds()
             cause = f"{type(exc).__name__}: {exc}"
-            kind = (_failure_kind_of(exc) if isinstance(exc, ReproError)
-                    else "error")
+            kind = failure_kind(exc)
             if on_attempt is not None:
                 on_attempt(i, points[i].name, 1, start, end,
                            "quarantined", cause)

@@ -100,7 +100,11 @@ class _PointState:
         self.eligible_at = 0.0     # earliest host_seconds to resubmit
 
 
-def _failure_kind(exc: BaseException) -> str:
+def failure_kind(exc: BaseException) -> str:
+    """The :class:`PointFailure` kind of a point that raised ``exc``.
+
+    Shared by the supervised and the serial sweep paths.
+    """
     if isinstance(exc, DeadlineError):
         return "sim-deadline"
     if isinstance(exc, LivelockError):
@@ -264,7 +268,7 @@ def run_supervised(run_fn: Callable[[Any], Any],
                     # nothing, so quarantine on first sight.
                     state.attempts += 1
                     span(state, end, "quarantined", _cause(exc))
-                    quarantine(state, _failure_kind(exc), _cause(exc), exc)
+                    quarantine(state, failure_kind(exc), _cause(exc), exc)
                 else:
                     state.attempts += 1
                     if state.attempts >= config.max_attempts:
