@@ -8,6 +8,7 @@ all: analyze test
 
 test:
 	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest simbench/tests -q
 
 # Regenerate every paper exhibit (quick scale), then enforce the
 # events/sec floors (engine, fig12, fig13) against
